@@ -7,6 +7,7 @@ Convenience emitters exist for every opcode, plus small macros
 """
 
 from .instructions import ALU_OPS, Instr
+from .lower import lower
 
 
 class Operand:
@@ -20,16 +21,25 @@ class Operand:
 
 
 class Program:
-    """An assembled program."""
+    """An assembled program (``instrs`` is frozen as a tuple)."""
 
     def __init__(self, name, instrs, n_regs, local_words, source_lines):
         self.name = name
-        self.instrs = instrs
+        self.instrs = tuple(instrs)
         self.n_regs = n_regs
         self.local_words = local_words
         #: builder-call count, the Figure 8 lines-of-code proxy for the
         #: CUDA/C implementations.
         self.source_lines = source_lines
+        self._lowered = None
+
+    @property
+    def lowered(self):
+        """The :class:`~repro.isa.lower.LoweredProgram`, built at first
+        use and kept."""
+        if self._lowered is None:
+            self._lowered = lower(self)
+        return self._lowered
 
     def __len__(self):
         return len(self.instrs)
@@ -68,9 +78,6 @@ class ProgramBuilder:
         if name in self._labels:
             raise ValueError(f"duplicate label {name!r}")
         self._labels[name] = len(self._instrs)
-
-    def fresh_label(self, hint="L"):
-        return f"{hint}_{len(self._instrs)}_{self._lines}"
 
     # -- emitters ---------------------------------------------------------------
     def _emit(self, op, *args):

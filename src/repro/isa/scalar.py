@@ -5,12 +5,16 @@ dynamic-instruction histogram. The CPU performance model
 (:mod:`repro.baselines.cpu`) converts the histogram into cycles; the
 *outputs* are cross-checked against the golden models and the Fleet units
 by the test suite, so the baselines demonstrably compute the same thing.
+
+The run drives the program's block-lowered lane generator
+(:mod:`repro.isa.lower`) for a single lane: each resume executes one
+basic block, and the step count and histogram follow from how often each
+block ran. Op categories are the CPU model's: ``brnz``/``brz`` count as
+``br``, and ``halt`` counts as a step but not as an op.
 """
 
-from collections import Counter
-
 from ..lang.errors import FleetSimulationError
-from .instructions import ALU_OPS, MASK64
+from .lower import op_histogram
 
 
 class ScalarResult:
@@ -32,72 +36,27 @@ class ScalarExecutor:
 
     def run(self, tokens):
         program = self.program
-        instrs = program.instrs
-        regs = [0] * program.n_regs
-        memory = [0] * program.local_words
+        lowered = program.lowered
+        end = lowered.end
+        lengths = lowered.lengths
+        max_steps = self.max_steps
         outputs = []
-        counts = Counter()
-        pos = 0
-        pc = 0
+        step = lowered.lane(tokens, outputs).__next__
+        hits = [0] * end
+        order = []  # blocks in first-run order
         steps = 0
-        n = len(instrs)
-        alu_ops = ALU_OPS
-
-        def value(operand):
-            return regs[operand.value] if operand.is_reg else operand.value
-
-        while pc < n:
-            instr = instrs[pc]
-            op = instr.op
-            args = instr.args
-            steps += 1
-            if steps > self.max_steps:
+        block = 0
+        while block != end:
+            steps += lengths[block]
+            if steps > max_steps:
                 raise FleetSimulationError(
                     f"program {program.name!r} exceeded "
-                    f"{self.max_steps} steps"
+                    f"{max_steps} steps"
                 )
-            pc += 1
-            if op == "bin":
-                alu, rd, a, b = args
-                regs[rd] = alu_ops[alu](value(a), value(b))
-                counts["mul_alu" if alu == "mul" else "bin"] += 1
-            elif op == "li":
-                regs[args[0]] = args[1] & MASK64
-                counts["li"] += 1
-            elif op == "mov":
-                regs[args[0]] = regs[args[1]]
-                counts["mov"] += 1
-            elif op == "load":
-                addr = value(args[1]) + value(args[2])
-                regs[args[0]] = memory[addr]
-                counts["load"] += 1
-            elif op == "store":
-                addr = value(args[1]) + value(args[2])
-                memory[addr] = value(args[0])
-                counts["store"] += 1
-            elif op == "br":
-                pc = args[0]
-                counts["br"] += 1
-            elif op == "brnz":
-                if value(args[0]):
-                    pc = args[1]
-                counts["br"] += 1
-            elif op == "brz":
-                if not value(args[0]):
-                    pc = args[1]
-                counts["br"] += 1
-            elif op == "intok":
-                if pos < len(tokens):
-                    regs[args[0]] = tokens[pos]
-                    pos += 1
-                else:
-                    pc = args[1]
-                counts["intok"] += 1
-            elif op == "outtok":
-                outputs.append(value(args[0]))
-                counts["outtok"] += 1
-            elif op == "halt":
-                break
-            else:  # pragma: no cover
-                raise FleetSimulationError(f"unknown opcode {op!r}")
-        return ScalarResult(outputs, counts, steps)
+            if not hits[block]:
+                order.append(block)
+            hits[block] += 1
+            block = step()
+        return ScalarResult(
+            outputs, op_histogram(lowered.scalar_ops, hits, order), steps
+        )
