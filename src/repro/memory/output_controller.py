@@ -74,15 +74,20 @@ class OutputController:
         register = self._free_register(now)
         if register is None:
             return False
-        n = len(self.pus)
+        pus = self.pus
+        n = len(pus)
         # The addressing unit checks PUs round-robin, a few per cycle (the
         # hardware checks one; allowing a small factor keeps the model from
         # under-serving very large PU counts).
         for _ in range(min(n, self.SCAN_PER_CYCLE)):
             idx = self._rr
-            nbytes = self._eligible(idx, now)
-            if nbytes is not None:
-                break
+            pu = pus[idx]
+            # A PU whose every emitted byte is taken has none available
+            # (the common case: sink PUs never emit).
+            if pu.output_bytes_total != pu.output_taken:
+                nbytes = self._eligible(idx, now)
+                if nbytes is not None:
+                    break
             if self.config.output_blocking and not self._skippable(idx, now):
                 # Blocking ablation: wait for this PU, don't look further.
                 return False
@@ -220,6 +225,8 @@ class OutputController:
         for pu in self.pus:
             if pu.free_at > now:
                 candidates.append(pu.free_at)
+            if pu.output_bytes_total == pu.output_taken:
+                continue  # no chunk left, so none yet to appear
             chunk_at = pu.next_output_at(now)
             if chunk_at is not None:
                 candidates.append(chunk_at)

@@ -150,3 +150,26 @@ class TestOutputController:
             system.run_for(6000)
             results[blocking] = sum(pu.output_taken for pu in pus)
         assert results[False] > 2 * results[True]
+
+    def test_scan_skips_only_pus_with_nothing_pending(self):
+        # The addressing scan passes over a PU whose emitted bytes are
+        # all taken without asking it; such a PU must be ineligible.
+        cfg = quiet()
+        pus = [
+            SinkPu(1 << 12),
+            EchoPu(1 << 12),
+            RatePu(1 << 12, vcycles_per_token=2, output_ratio=0.3),
+            EchoPu(100),
+        ]
+        system = ChannelSystem(cfg, pus)
+        oc = system.output_controller
+        skipped = 0
+        while not system.drained() and system.cycle < 20_000:
+            now = system.cycle
+            for idx, pu in enumerate(pus):
+                if pu.output_bytes_total == pu.output_taken:
+                    skipped += 1
+                    assert oc._eligible(idx, now) is None
+            system.step()
+        assert system.drained()
+        assert skipped
