@@ -547,7 +547,11 @@ def run_batch_engine(quick=False, lanes=None, tokens=None):
             return signatures
 
         def run_batched(program=program, unit=unit, streams=streams):
-            return run_batch_streams(program, streams, unit=unit)
+            result = run_batch_streams(program, streams, unit=unit)
+            # Build the per-token traces inside the timed region, as
+            # the sequential side does.
+            result.traces
+            return result
 
         run_batched()  # warm the kernel (first call may hit disk cache)
         base_seconds, base_sig = _timed(run_sequential)

@@ -59,7 +59,9 @@ returns ``None`` so callers fall back to the compiled engine) and
 install hint.
 """
 
+import os
 import re
+import threading
 import time
 
 try:  # pragma: no cover - exercised both ways across environments
@@ -1872,85 +1874,159 @@ def _try_cc_build(program, unit, required=False):
         return None
 
 
+#: A native batch of at least this many tokens runs its lanes as
+#: separate kernel calls on up to :func:`_lane_threads` threads; smaller
+#: ones run as one call on the calling thread.
+_SPLIT_TOKENS = 1 << 16
+
+
+def _lane_threads():
+    """Threads a large native batch shares its lanes among: one per
+    core this process may run on, at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platform-specific
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, 8))
+
+
+class _CcBatch:
+    """The kernel buffers of one ragged native batch.
+
+    Lanes are independent in the kernel, so any run of consecutive
+    lanes executes as its own call, on its own copy of their initial
+    state, written back once the call succeeds."""
+
+    def __init__(self, unit, arrs, lens, n, max_vc):
+        self.cc = unit.cc
+        self.max_vc = max_vc
+        self.width = width = max(int(lens.max()) if n else 0, 1)
+        self.toks = _np.zeros((n, width), dtype=_np.uint64)
+        for i, a in enumerate(arrs):
+            self.toks[i, : a.shape[0]] = a
+        self.lens = _np.ascontiguousarray(lens, dtype=_np.int64)
+        self.vca = _np.zeros((n, width + 1), dtype=_np.int32)
+        self.ema = _np.zeros((n, width + 1), dtype=_np.int32)
+        self.out_cnt = _np.zeros(n, dtype=_np.int64)
+        self.regs, self.sgroups = unit.init_state(n)
+        self.cc_sgs = [
+            _np.ascontiguousarray(sg.transpose(0, 2, 1))
+            for sg in self.sgroups
+        ]
+
+    def run(self, a, b):
+        """Execute lanes ``[a, b)``; returns their outputs in lane
+        order."""
+        ffi, lib = self.cc.ffi, self.cc.lib
+        lens = self.lens[a:b]
+        vca, ema, out_cnt = self.vca[a:b], self.ema[a:b], self.out_cnt[a:b]
+        err = _np.zeros(4, dtype=_np.int64)
+        cap = max(4 * int(lens.sum()) + 16 * (b - a) + 1024, 4096)
+        while True:
+            regs = [r[:, a:b].copy() for r in self.regs]
+            sgs = [sg[:, a:b].copy() for sg in self.cc_sgs]
+            out_vals = _np.empty(cap, dtype=_np.uint64)
+            regp = (ffi.from_buffer("uint64_t[]", regs[0])
+                    if regs else ffi.NULL)
+            args = (
+                [ffi.from_buffer("uint64_t[]", self.toks[a:b]),
+                 ffi.from_buffer("int64_t[]", lens),
+                 self.width, b - a, regp]
+                + [ffi.from_buffer("uint64_t[]", sg) for sg in sgs]
+                + [self.max_vc,
+                   ffi.from_buffer("uint64_t[]", out_vals), cap,
+                   ffi.from_buffer("int64_t[]", out_cnt),
+                   ffi.from_buffer("int32_t[]", vca),
+                   ffi.from_buffer("int32_t[]", ema),
+                   ffi.from_buffer("int64_t[]", err)]
+            )
+            rc = lib.fleet_run(*args)
+            if rc == 0:
+                break
+            if int(err[0]) == 2:
+                # Output buffer filled. The kernel is pure over its
+                # inputs, so rerun from fresh state with a larger one.
+                cap *= 4
+                vca[:] = 0
+                ema[:] = 0
+                out_cnt[:] = 0
+                continue
+            raise FleetLoopLimitError(
+                "while loop did not terminate within "
+                + str(self.max_vc) + " virtual cycles"
+            )
+        for r, final in zip(self.regs, regs):
+            r[:, a:b] = final
+        for sg, final in zip(self.cc_sgs, sgs):
+            sg[:, a:b] = final
+        counts = out_cnt.tolist()
+        flat = out_vals[: sum(counts)].tolist()
+        outputs = []
+        pos = 0
+        for c in counts:
+            outputs.append(flat[pos:pos + c])
+            pos += c
+        return outputs
+
+    def run_shared(self, threads):
+        """Execute every lane as its own call, longest first, on the
+        calling thread and ``threads - 1`` helpers (the calls release
+        the GIL); returns the outputs in lane order. A lane that fails
+        leaves the others running; the lowest failing lane's error is
+        raised once all have finished."""
+        n = self.lens.shape[0]
+        lengths = self.lens.tolist()
+        pending = iter(sorted(range(n), key=lambda i: (-lengths[i], i)))
+        lock = threading.Lock()
+        outputs = [None] * n
+        errors = {}
+
+        def work():
+            while True:
+                with lock:
+                    lane = next(pending, None)
+                if lane is None:
+                    return
+                try:
+                    outputs[lane], = self.run(lane, lane + 1)
+                except Exception as exc:
+                    errors[lane] = exc
+
+        helpers = [threading.Thread(target=work, daemon=True)
+                   for _ in range(threads - 1)]
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+        if errors:
+            raise errors[min(errors)]
+        return outputs
+
+
 def _run_batch_cc(program, unit, arrs, lens, n, max_vc):
     """Execute one ragged batch on the native kernel; mirrors the NumPy
-    driver's result assembly exactly."""
-    cc = unit.cc
-    ffi, lib = cc.ffi, cc.lib
-    max_len = int(lens.max()) if n else 0
-    width = max(max_len, 1)
-    toks = _np.zeros((n, width), dtype=_np.uint64)
-    for i, a in enumerate(arrs):
-        if a.shape[0]:
-            toks[i, : a.shape[0]] = a
-    lens64 = _np.ascontiguousarray(lens, dtype=_np.int64)
-    vca = _np.zeros((n, width + 1), dtype=_np.int32)
-    ema = _np.zeros((n, width + 1), dtype=_np.int32)
-    out_cnt = _np.zeros(n, dtype=_np.int64)
-    err = _np.zeros(4, dtype=_np.int64)
-    total = int(lens64.sum())
-    cap = max(4 * total + 16 * n + 1024, 4096)
-    while True:
-        regs, sgroups = unit.init_state(n)
-        cc_sgs = [
-            _np.ascontiguousarray(sg.transpose(0, 2, 1)) for sg in sgroups
-        ]
-        out_vals = _np.empty(cap, dtype=_np.uint64)
-        vca[:] = 0
-        ema[:] = 0
-        out_cnt[:] = 0
-        regp = (ffi.from_buffer("uint64_t[]", regs[0])
-                if regs else ffi.NULL)
-        args = (
-            [ffi.from_buffer("uint64_t[]", toks),
-             ffi.from_buffer("int64_t[]", lens64),
-             width, n, regp]
-            + [ffi.from_buffer("uint64_t[]", sg) for sg in cc_sgs]
-            + [max_vc,
-               ffi.from_buffer("uint64_t[]", out_vals), cap,
-               ffi.from_buffer("int64_t[]", out_cnt),
-               ffi.from_buffer("int32_t[]", vca),
-               ffi.from_buffer("int32_t[]", ema),
-               ffi.from_buffer("int64_t[]", err)]
-        )
-        rc = lib.fleet_run(*args)
-        if rc == 0:
-            break
-        if int(err[0]) == 2:
-            # Output buffer filled. The kernel is pure over its inputs,
-            # so rerun from fresh state with a larger buffer.
-            cap *= 4
-            continue
-        raise FleetLoopLimitError(
-            "while loop did not terminate within "
-            + str(max_vc) + " virtual cycles"
-        )
-    for sg, csg in zip(sgroups, cc_sgs):
+    driver's result assembly exactly.
+
+    A batch of :data:`_SPLIT_TOKENS` or more runs its lanes on one
+    thread per core (:meth:`_CcBatch.run_shared`): its wall time then
+    follows the speed of every core, not only of the one its caller
+    happens to run on, and two device workers' batches spread over all
+    cores instead of the longest one setting the pace alone."""
+    batch = _CcBatch(unit, arrs, lens, n, max_vc)
+    threads = 1
+    if int(batch.lens.sum()) >= _SPLIT_TOKENS:
+        threads = min(n, _lane_threads())
+    outputs = batch.run_shared(threads) if threads > 1 else batch.run(0, n)
+    for sg, csg in zip(batch.sgroups, batch.cc_sgs):
         sg[:] = csg.transpose(0, 2, 1)
 
-    counts = out_cnt.tolist()
-    flat = out_vals[: int(out_cnt.sum())].tolist()
-    outputs = []
-    pos = 0
-    for c in counts:
-        outputs.append(flat[pos:pos + c])
-        pos += c
-
-    vc_rows = vca.tolist()
-    em_rows = ema.tolist()
-    len_list = lens64.tolist()
-    traces = []
-    for i in range(n):
-        length = len_list[i]
-        trace = StreamTrace()
-        trace.vcycles_per_token = vc_rows[i][: length + 1]
-        trace.emits_per_token = em_rows[i][: length + 1]
-        trace._cleanup_recorded = True
-        traces.append(trace)
-    stats = BatchStats([t.total_vcycles for t in traces])
-    cycles = int(vca.sum(axis=1, dtype=_np.int64).max()) if n else 0
-    return BatchResult(program, outputs, traces, stats, cycles,
-                       unit, regs, sgroups)
+    # The kernel leaves each lane's row zero past its cleanup cycle.
+    lane_vcycles = batch.vca.sum(axis=1, dtype=_np.int64).tolist()
+    return BatchResult(program, outputs, BatchStats(lane_vcycles),
+                       max(lane_vcycles, default=0), unit, batch.regs,
+                       batch.sgroups, batch.lens.tolist(), batch.vca,
+                       batch.ema)
 
 
 # ---------------------------------------------------------------------------
@@ -2262,22 +2338,56 @@ def predict_batch_stats(program, lane_tokens):
 
 
 class BatchResult:
-    """Outputs, traces, and occupancy stats of one ragged-batch run."""
+    """Outputs and occupancy stats of one ragged-batch run.
 
-    __slots__ = ("program", "outputs", "traces", "stats", "cycles",
-                 "_unit", "_regs", "_sgroups", "_predicted")
+    Per-lane virtual-cycle totals are in :attr:`stats`
+    (``stats.lane_vcycles``); the per-token
+    :class:`~repro.interp.trace.StreamTrace` rows are built only when
+    :attr:`traces` is first read.
+    """
 
-    def __init__(self, program, outputs, traces, stats, cycles, unit,
-                 regs, sgroups):
+    __slots__ = ("program", "outputs", "stats", "cycles", "_unit",
+                 "_regs", "_sgroups", "_lane_tokens", "_vca", "_ema",
+                 "_traces", "_predicted")
+
+    def __init__(self, program, outputs, stats, cycles, unit, regs,
+                 sgroups, lane_tokens, vca, ema):
         self.program = program
         self.outputs = outputs
-        self.traces = traces
         self.stats = stats
         self.cycles = cycles
         self._unit = unit
         self._regs = regs
         self._sgroups = sgroups
+        #: tokens per lane; ``vca``/``ema`` are lane-major matrices of
+        #: per-token vcycles/emits with at least ``tokens + 1`` columns
+        #: per lane (``vca`` is ``None`` when every count is 1)
+        self._lane_tokens = lane_tokens
+        self._vca = vca
+        self._ema = ema
+        self._traces = None
         self._predicted = False  # lazily computed (None is a result)
+
+    @property
+    def traces(self):
+        """Per-lane :class:`~repro.interp.trace.StreamTrace`\\ s (token
+        vcycle and emit counts, cleanup cycle last), built on first
+        access."""
+        if self._traces is None:
+            vc_rows = None if self._vca is None else self._vca.tolist()
+            em_rows = self._ema.tolist()
+            traces = []
+            for i, length in enumerate(self._lane_tokens):
+                trace = StreamTrace()
+                trace.vcycles_per_token = (
+                    [1] * (length + 1) if vc_rows is None
+                    else vc_rows[i][: length + 1]
+                )
+                trace.emits_per_token = em_rows[i][: length + 1]
+                trace._cleanup_recorded = True
+                traces.append(trace)
+            self._traces = traces
+        return self._traces
 
     @property
     def predicted_stats(self):
@@ -2287,8 +2397,7 @@ class BatchResult:
         is asked for, never on the batch execution path."""
         if self._predicted is False:
             self._predicted = predict_batch_stats(
-                self.program,
-                [len(t.emits_per_token) - 1 for t in self.traces],
+                self.program, self._lane_tokens
             )
         return self._predicted
 
@@ -2329,8 +2438,10 @@ class BatchResult:
         }
 
 
-def _validate_stream(program, stream, tok_dtype):
-    """Convert one stream to a bounds-checked token array."""
+def _validate_stream(program, stream):
+    """One stream as a bounds-checked token array: ``uint8`` straight
+    over the buffer for bytes-like input, ``uint64`` for token lists.
+    The drivers widen either into their ``uint64`` token matrix."""
     in_mask = mask(program.input_width)
     if isinstance(stream, (bytes, bytearray, memoryview)):
         arr = _np.frombuffer(bytes(stream), dtype=_np.uint8)
@@ -2341,7 +2452,7 @@ def _validate_stream(program, stream, tok_dtype):
                 f"token {bad!r} does not fit the declared "
                 f"{program.input_width}-bit input width"
             )
-        return arr.astype(tok_dtype)
+        return arr
     tokens = list(stream)
     try:
         arr = _np.asarray(tokens, dtype=_np.uint64)
@@ -2357,15 +2468,19 @@ def _validate_stream(program, stream, tok_dtype):
         raise FleetSimulationError(  # pragma: no cover - defensive
             "token stream failed numpy conversion"
         )
-    return arr.astype(tok_dtype)
+    return arr
 
 
 def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
                       unit=None):
     """Execute ``streams`` (one per lane, ragged lengths allowed) in a
     single SIMD batch; returns a :class:`BatchResult` whose outputs and
-    per-lane :class:`~repro.interp.trace.StreamTrace` virtual-cycle
-    counts are bit-identical to N independent compiled-engine runs.
+    per-lane virtual-cycle counts are bit-identical to N independent
+    compiled-engine runs.
+
+    A stream is either a bytes-like object (one token per byte; the
+    fast path, read without per-token Python objects) or a sequence of
+    integer tokens.
 
     Note on invalid tokens: the batch engine validates all streams
     upfront, so a bad token raises before *any* lane executes (the
@@ -2379,8 +2494,7 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
     n = len(streams)
     if n == 0:
         raise FleetSimulationError("run_batch_streams needs >= 1 stream")
-    tok_dtype = _np.uint64
-    arrs = [_validate_stream(program, s, tok_dtype) for s in streams]
+    arrs = [_validate_stream(program, s) for s in streams]
     lens = _np.array([a.shape[0] for a in arrs], dtype=_np.intp)
     # FLEET_NATIVE=off must win over a kernel cached on the unit:
     # flipping it mid-process (tests do) drops back to the NumPy tier.
@@ -2388,10 +2502,9 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
         return _run_batch_cc(program, unit, arrs, lens, n,
                              max_vcycles_per_token)
     max_len = int(lens.max()) if n else 0
-    toks = _np.zeros((max_len, n), dtype=tok_dtype)
+    toks = _np.zeros((max_len, n), dtype=_np.uint64)
     for i, a in enumerate(arrs):
-        if a.shape[0]:
-            toks[: a.shape[0], i] = a
+        toks[: a.shape[0], i] = a
     regs, sgroups = unit.init_state(n)
     res = {}
     unit.run_batch(toks, lens, regs, sgroups, max_vcycles_per_token, res)
@@ -2419,26 +2532,19 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
     else:
         outputs = [[] for _ in range(n)]
 
-    vca, ema = res["vca"], res["ema"]
-    all_ones = res["vc_all_ones"]
-    # One bulk tolist per matrix (C-speed) beats n per-lane tolists.
-    vc_rows = None if all_ones else vca.T.tolist()
-    em_rows = ema.T.tolist()
-    len_list = lens.tolist()
-    traces = []
-    for i in range(n):
-        length = len_list[i]
-        trace = StreamTrace()
-        if all_ones:
-            trace.vcycles_per_token = [1] * (length + 1)
-        else:
-            trace.vcycles_per_token = vc_rows[i][: length + 1]
-        trace.emits_per_token = em_rows[i][: length + 1]
-        trace._cleanup_recorded = True
-        traces.append(trace)
-    stats = BatchStats([t.total_vcycles for t in traces])
-    return BatchResult(program, outputs, traces, stats, res["cycles"],
-                       unit, regs, sgroups)
+    # The driver's (L + 1, N) matrices stay zero past each lane's
+    # cleanup cycle; with no while loops and equal lengths it never
+    # fills vca at all, every count being 1.
+    lane_tokens = lens.tolist()
+    if res["vc_all_ones"]:
+        vca = None
+        lane_vcycles = [length + 1 for length in lane_tokens]
+    else:
+        vca = res["vca"].T
+        lane_vcycles = vca.sum(axis=1, dtype=_np.int64).tolist()
+    return BatchResult(program, outputs, BatchStats(lane_vcycles),
+                       res["cycles"], unit, regs, sgroups, lane_tokens,
+                       vca, res["ema"].T)
 
 
 class BatchStreamSimulator:

@@ -14,35 +14,65 @@ the paper's concurrent per-virtual-cycle semantics:
 
 The AST is deliberately small — the paper lists the full feature set in its
 Figure 2 and this module implements exactly that set.
+
+Programs are *sealed*: declarations, expression nodes and statements
+refuse attribute assignment once constructed, and constructing a
+:class:`UnitProgram` turns every nested ``If`` arm body and ``While`` body
+into a tuple. A program therefore cannot change after it is built, which
+is what lets analyses (the structural fingerprint, restriction
+certificates, compiled engines) memoize on the program object. Only the
+``_fleet_*`` memo attributes those caches keep on a program stay settable.
 """
 
 from . import types
 from .errors import FleetSyntaxError, FleetWidthError
+
+#: Constructors bypass the sealed ``__setattr__`` with this.
+_set = object.__setattr__
+
+
+class _Sealed:
+    """Base of the declaration, expression and statement classes:
+    instances refuse attribute assignment and deletion after
+    construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is sealed; cannot set {name!r}"
+        )
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is sealed; cannot delete {name!r}"
+        )
+
 
 # ---------------------------------------------------------------------------
 # State element declarations
 # ---------------------------------------------------------------------------
 
 
-class RegDecl:
+class RegDecl(_Sealed):
     """A register with a declared width and reset/init value."""
 
     __slots__ = ("name", "width", "init")
 
     def __init__(self, name, width, init=0):
-        self.name = name
-        self.width = types.check_width(width)
+        _set(self, "name", name)
+        _set(self, "width", types.check_width(width))
         if not types.fits(init, width):
             raise FleetWidthError(
                 f"register {name!r}: init {init} does not fit in {width} bits"
             )
-        self.init = init
+        _set(self, "init", init)
 
     def __repr__(self):
         return f"RegDecl({self.name!r}, width={self.width}, init={self.init})"
 
 
-class VectorRegDecl:
+class VectorRegDecl(_Sealed):
     """A bank of registers with dynamic (random-access) indexing.
 
     Unlike a BRAM, a vector register is built from flip-flops and mux trees,
@@ -57,15 +87,15 @@ class VectorRegDecl:
             raise FleetSyntaxError(
                 f"vector register {name!r}: needs >= 1 element"
             )
-        self.name = name
-        self.elements = elements
-        self.width = types.check_width(width)
+        _set(self, "name", name)
+        _set(self, "elements", elements)
+        _set(self, "width", types.check_width(width))
         if not types.fits(init, width):
             raise FleetWidthError(
                 f"vector register {name!r}: init {init} does not fit in "
                 f"{width} bits"
             )
-        self.init = init
+        _set(self, "init", init)
 
     @property
     def index_width(self):
@@ -78,7 +108,7 @@ class VectorRegDecl:
         )
 
 
-class WireDecl:
+class WireDecl(_Sealed):
     """A named combinational temporary (the paper's ``wire`` type).
 
     Wires make expression sharing explicit: a wire's defining expression is
@@ -91,15 +121,15 @@ class WireDecl:
     __slots__ = ("name", "value", "width")
 
     def __init__(self, name, value):
-        self.name = name
-        self.value = value
-        self.width = value.width
+        _set(self, "name", name)
+        _set(self, "value", value)
+        _set(self, "width", value.width)
 
     def __repr__(self):
         return f"WireDecl({self.name!r}, width={self.width})"
 
 
-class BramDecl:
+class BramDecl(_Sealed):
     """A block RAM: one read and one write per virtual cycle, one-cycle
     read latency in hardware, zero-initialized (as on most FPGAs)."""
 
@@ -108,9 +138,9 @@ class BramDecl:
     def __init__(self, name, elements, width):
         if elements < 1:
             raise FleetSyntaxError(f"BRAM {name!r}: needs >= 1 element")
-        self.name = name
-        self.elements = elements
-        self.width = types.check_width(width)
+        _set(self, "name", name)
+        _set(self, "elements", elements)
+        _set(self, "width", types.check_width(width))
 
     @property
     def addr_width(self):
@@ -128,7 +158,7 @@ class BramDecl:
 # ---------------------------------------------------------------------------
 
 
-class Node:
+class Node(_Sealed):
     """Base class for expression nodes. Every node has a ``width``."""
 
     __slots__ = ("width",)
@@ -152,8 +182,8 @@ class Const(Node):
             raise FleetWidthError(
                 f"constant {value} does not fit in {width} bits"
             )
-        self.value = value
-        self.width = types.check_width(width)
+        _set(self, "value", value)
+        _set(self, "width", types.check_width(width))
 
     def __repr__(self):
         return f"Const({self.value}, w={self.width})"
@@ -165,7 +195,7 @@ class InputToken(Node):
     __slots__ = ()
 
     def __init__(self, width):
-        self.width = types.check_width(width)
+        _set(self, "width", types.check_width(width))
 
     def __repr__(self):
         return f"InputToken(w={self.width})"
@@ -177,7 +207,7 @@ class StreamFinished(Node):
     __slots__ = ()
 
     def __init__(self):
-        self.width = 1
+        _set(self, "width", 1)
 
     def __repr__(self):
         return "StreamFinished()"
@@ -187,8 +217,8 @@ class RegRead(Node):
     __slots__ = ("reg",)
 
     def __init__(self, reg):
-        self.reg = reg
-        self.width = reg.width
+        _set(self, "reg", reg)
+        _set(self, "width", reg.width)
 
     def __repr__(self):
         return f"RegRead({self.reg.name})"
@@ -198,9 +228,9 @@ class VectorRegRead(Node):
     __slots__ = ("vreg", "index")
 
     def __init__(self, vreg, index):
-        self.vreg = vreg
-        self.index = index
-        self.width = vreg.width
+        _set(self, "vreg", vreg)
+        _set(self, "index", index)
+        _set(self, "width", vreg.width)
 
     def children(self):
         return (self.index,)
@@ -213,9 +243,9 @@ class BramRead(Node):
     __slots__ = ("bram", "addr")
 
     def __init__(self, bram, addr):
-        self.bram = bram
-        self.addr = addr
-        self.width = bram.width
+        _set(self, "bram", bram)
+        _set(self, "addr", addr)
+        _set(self, "width", bram.width)
 
     def children(self):
         return (self.addr,)
@@ -228,8 +258,8 @@ class WireRead(Node):
     __slots__ = ("wire",)
 
     def __init__(self, wire):
-        self.wire = wire
-        self.width = wire.width
+        _set(self, "wire", wire)
+        _set(self, "width", wire.width)
 
     def children(self):
         return (self.wire.value,)
@@ -246,10 +276,10 @@ class BinOp(Node):
 
         if op not in ops.BINOPS:
             raise FleetSyntaxError(f"unknown binary operator {op!r}")
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-        self.width = ops.binop_width(op, lhs.width, rhs.width)
+        _set(self, "op", op)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "width", ops.binop_width(op, lhs.width, rhs.width))
 
     def children(self):
         return (self.lhs, self.rhs)
@@ -266,9 +296,9 @@ class UnOp(Node):
 
         if op not in ops.UNOPS:
             raise FleetSyntaxError(f"unknown unary operator {op!r}")
-        self.op = op
-        self.operand = operand
-        self.width = ops.unop_width(op, operand.width)
+        _set(self, "op", op)
+        _set(self, "operand", operand)
+        _set(self, "width", ops.unop_width(op, operand.width))
 
     def children(self):
         return (self.operand,)
@@ -287,10 +317,10 @@ class Mux(Node):
             raise FleetWidthError(
                 f"mux condition must be 1 bit, got {cond.width}"
             )
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.width = max(then.width, els.width)
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "els", els)
+        _set(self, "width", max(then.width, els.width))
 
     def children(self):
         return (self.cond, self.then, self.els)
@@ -311,10 +341,10 @@ class Slice(Node):
             raise FleetWidthError(
                 f"slice [{hi}:{lo}] out of range for width {operand.width}"
             )
-        self.operand = operand
-        self.hi = hi
-        self.lo = lo
-        self.width = hi - lo + 1
+        _set(self, "operand", operand)
+        _set(self, "hi", hi)
+        _set(self, "lo", lo)
+        _set(self, "width", hi - lo + 1)
 
     def children(self):
         return (self.operand,)
@@ -332,8 +362,8 @@ class Concat(Node):
         parts = tuple(parts)
         if not parts:
             raise FleetSyntaxError("concat of zero parts")
-        self.parts = parts
-        self.width = types.check_width(sum(p.width for p in parts))
+        _set(self, "parts", parts)
+        _set(self, "width", types.check_width(sum(p.width for p in parts)))
 
     def children(self):
         return self.parts
@@ -347,7 +377,7 @@ class Concat(Node):
 # ---------------------------------------------------------------------------
 
 
-class Statement:
+class Statement(_Sealed):
     __slots__ = ()
 
 
@@ -355,8 +385,8 @@ class RegAssign(Statement):
     __slots__ = ("reg", "value")
 
     def __init__(self, reg, value):
-        self.reg = reg
-        self.value = value
+        _set(self, "reg", reg)
+        _set(self, "value", value)
 
     def __repr__(self):
         return f"RegAssign({self.reg.name}, {self.value!r})"
@@ -366,9 +396,9 @@ class VectorRegAssign(Statement):
     __slots__ = ("vreg", "index", "value")
 
     def __init__(self, vreg, index, value):
-        self.vreg = vreg
-        self.index = index
-        self.value = value
+        _set(self, "vreg", vreg)
+        _set(self, "index", index)
+        _set(self, "value", value)
 
     def __repr__(self):
         return (
@@ -381,9 +411,9 @@ class BramWrite(Statement):
     __slots__ = ("bram", "addr", "value")
 
     def __init__(self, bram, addr, value):
-        self.bram = bram
-        self.addr = addr
-        self.value = value
+        _set(self, "bram", bram)
+        _set(self, "addr", addr)
+        _set(self, "value", value)
 
     def __repr__(self):
         return f"BramWrite({self.bram.name}, {self.addr!r}, {self.value!r})"
@@ -393,7 +423,7 @@ class Emit(Statement):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = value
+        _set(self, "value", value)
 
     def __repr__(self):
         return f"Emit({self.value!r})"
@@ -406,7 +436,9 @@ class If(Statement):
     __slots__ = ("arms",)
 
     def __init__(self, arms):
-        self.arms = arms  # list of (cond Node or None, list[Statement])
+        # (cond Node or None, body) pairs; lists while a builder is
+        # appending, tuples once the owning UnitProgram seals them
+        _set(self, "arms", arms)
 
     def __repr__(self):
         return f"If({len(self.arms)} arms)"
@@ -416,8 +448,8 @@ class While(Statement):
     __slots__ = ("cond", "body")
 
     def __init__(self, cond, body):
-        self.cond = cond
-        self.body = body
+        _set(self, "cond", cond)
+        _set(self, "body", body)
 
     def __repr__(self):
         return f"While({self.cond!r}, {len(self.body)} stmts)"
@@ -429,20 +461,34 @@ class While(Statement):
 
 
 class UnitProgram:
-    """An immutable, validated Fleet processing-unit program."""
+    """An immutable, validated Fleet processing-unit program.
+
+    Construction seals the whole program (see the module docstring);
+    afterwards only ``_fleet_*`` memo attributes may be set.
+    """
 
     def __init__(self, name, input_width, output_width, regs, vregs, brams,
                  body, source_lines=None):
-        self.name = name
-        self.input_width = types.check_width(input_width)
-        self.output_width = types.check_width(output_width)
-        self.regs = tuple(regs)
-        self.vregs = tuple(vregs)
-        self.brams = tuple(brams)
-        self.body = tuple(body)
+        _set(self, "name", name)
+        _set(self, "input_width", types.check_width(input_width))
+        _set(self, "output_width", types.check_width(output_width))
+        _set(self, "regs", tuple(regs))
+        _set(self, "vregs", tuple(vregs))
+        _set(self, "brams", tuple(brams))
+        _set(self, "body", _seal_block(body))
         #: Number of builder-API lines used to express the unit; feeds the
         #: Figure 8 lines-of-code comparison.
-        self.source_lines = source_lines
+        _set(self, "source_lines", source_lines)
+
+    def __setattr__(self, name, value):
+        if not name.startswith("_fleet_"):
+            raise AttributeError(
+                f"UnitProgram is sealed; cannot set {name!r}"
+            )
+        _set(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"UnitProgram is sealed; cannot delete {name!r}")
 
     def __repr__(self):
         return (
@@ -450,6 +496,20 @@ class UnitProgram:
             f"out={self.output_width}b, regs={len(self.regs)}, "
             f"vregs={len(self.vregs)}, brams={len(self.brams)})"
         )
+
+
+def _seal_block(body):
+    """``body`` as a tuple, with every nested ``If`` arm body and
+    ``While`` body turned into a tuple as well."""
+    body = tuple(body)
+    for stmt in body:
+        if isinstance(stmt, If):
+            _set(stmt, "arms", tuple(
+                (cond, _seal_block(arm_body)) for cond, arm_body in stmt.arms
+            ))
+        elif isinstance(stmt, While):
+            _set(stmt, "body", _seal_block(stmt.body))
+    return body
 
 
 # ---------------------------------------------------------------------------

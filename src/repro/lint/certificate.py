@@ -8,10 +8,13 @@ dynamic restriction checks may be disabled*.
 
 The certificate is bound to a structural fingerprint of the program —
 a SHA-256 over a canonical, name-based serialization of the declarations
-and statement body — and :meth:`RestrictionCertificate.covers` re-checks
+and statement body — and :meth:`RestrictionCertificate.covers` checks
 that binding, so a certificate can never silently authorize a different
-(e.g. since-mutated or mixed-up) program. The simulators refuse a
-certificate whose fingerprint does not match.
+(mixed-up) program. The simulators refuse a certificate whose
+fingerprint does not match. Programs are sealed at construction
+(:mod:`repro.lang.ast`), so no program can change under its certificate
+and the fingerprint is computed once per program object
+(:func:`fingerprint_for`).
 
 ``ok`` requires all of:
 
@@ -81,15 +84,11 @@ class RestrictionCertificate:
 
     def covers(self, program):
         """Whether this certificate was issued for exactly ``program``
-        (same name and structural fingerprint).
-
-        Deliberately refingerprints from scratch (no
-        :func:`fingerprint_for` memo): ``covers`` is the last line of
-        defense against a program mutated after certification, and a
-        memoized fingerprint would be stale in exactly that case.
+        (same name and structural fingerprint). Uses the memoized
+        :func:`fingerprint_for`: a sealed program cannot drift from it.
         """
         return (self.program_name == program.name
-                and self.fingerprint == program_fingerprint(program))
+                and self.fingerprint == fingerprint_for(program))
 
     def to_json(self):
         return {
@@ -248,7 +247,7 @@ def certify_program(program, report=None):
     facts = None if reasons else build_facts(report.analysis)
     return RestrictionCertificate(
         program_name=program.name,
-        fingerprint=program_fingerprint(program),
+        fingerprint=fingerprint_for(program),
         ok=not reasons,
         reasons=reasons,
         finding_counts=report.counts(),
@@ -260,9 +259,9 @@ def certify_program(program, report=None):
 
 
 def fingerprint_for(program):
-    """:func:`program_fingerprint`, memoized on the (immutable after
-    ``finish()``) program object — serialization is linear but not free,
-    and hot callers fingerprint the same object repeatedly."""
+    """:func:`program_fingerprint`, memoized on the (sealed) program
+    object — serialization is linear but not free, and hot callers
+    fingerprint the same object repeatedly."""
     cached = getattr(program, "_fleet_fingerprint", None)
     if cached is None:
         cached = program_fingerprint(program)
@@ -281,8 +280,8 @@ _CERT_BY_FINGERPRINT = {}
 def certificate_for(program):
     """Cached certificate for ``program``.
 
-    Two cache levels: the program object itself (immutable after
-    ``finish()``), then the process-wide fingerprint store — a fresh but
+    Two cache levels: the program object itself (sealed at
+    construction), then the process-wide fingerprint store — a fresh but
     structurally identical object costs one fingerprint serialization,
     not a full lint pass. The returned certificate always ``covers``
     ``program`` by construction (the fingerprint *is* the cache key).

@@ -15,14 +15,11 @@ Hit/miss totals are deterministic for a deterministic workload: misses
 equal the number of distinct apps compiled, hits are lookups minus
 misses, regardless of thread interleaving.
 
-Cache keys bind certificate fingerprints: each entry records the
-structural fingerprint of the program it compiled, and every lookup
-revalidates it from scratch (no memo — the memo is stale in exactly the
-case that matters). A program object mutated after compilation can
-therefore never be served by a specialized or native unit whose
-certificate no longer covers it; the entry is recompiled in place and
-the event is counted in :meth:`CompiledAppCache.stats` under
-``stale_recompiles``.
+Programs are sealed (:mod:`repro.lang.ast`): a unit cannot change after
+its factory builds it, so no program can drift from the certificate its
+specialized or native engines were built against, and a lookup is a
+dictionary hit — the program is fingerprinted once, when its entry is
+compiled, never per lookup.
 """
 
 import threading
@@ -37,7 +34,6 @@ from ..interp import (
     fast_engine_for,
     native_enabled,
 )
-from ..lint import program_fingerprint
 from ..telemetry.metrics import counter as _tm_counter
 
 #: Live telemetry (repro.telemetry; zero-cost unless FLEET_METRICS).
@@ -68,8 +64,7 @@ class _Entry:
     lazily by the cost model/server."""
 
     __slots__ = ("app", "program", "fast_unit", "cc_unit", "batch_unit",
-                 "engine", "fingerprint", "cost_coeffs", "pu_slots",
-                 "lock")
+                 "engine", "cost_coeffs", "pu_slots", "lock")
 
     def __init__(self, app):
         self.app = app
@@ -90,22 +85,9 @@ class _Entry:
                            if self.fast_unit.specialized else "compiled")
         else:
             self.engine = "interp"
-        # The structural fingerprint the engines were built against;
-        # lookups revalidate it so post-compile mutation forces a
-        # recompile instead of serving stale specialized code.
-        self.fingerprint = program_fingerprint(self.program)
         self.cost_coeffs = None  # (per_token, fixed) — see cost.py
         self.pu_slots = None  # area-model slot count, filled by the server
         self.lock = threading.Lock()
-
-    def stale(self):
-        """Whether the entry's program no longer matches the fingerprint
-        its engines (and their certificate) were bound to.
-
-        Refingerprints from scratch on every call — the memoized
-        fingerprint lives on the program object and is stale in exactly
-        the mutation case this guard exists for."""
-        return program_fingerprint(self.program) != self.fingerprint
 
 
 class CompiledAppCache:
@@ -117,7 +99,6 @@ class CompiledAppCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._stale_recompiles = 0
 
     def __contains__(self, name):
         return name in self._apps
@@ -133,16 +114,8 @@ class CompiledAppCache:
         with self._lock:
             entry = self._entries.get(name)
             if entry is not None:
-                if not entry.stale():
-                    self._hits += 1
-                    _CACHE_LOOKUPS.inc(result="hit")
-                    return entry
-                # The program mutated under its certificate: the cached
-                # specialized/native units are bound to a fingerprint
-                # that no longer matches. Rebuild from the factory.
-                self._stale_recompiles += 1
-                _CACHE_LOOKUPS.inc(result="stale")
-                entry = self._entries[name] = _Entry(self._apps[name])
+                self._hits += 1
+                _CACHE_LOOKUPS.inc(result="hit")
                 return entry
             self._misses += 1
             _CACHE_LOOKUPS.inc(result="miss")
@@ -170,7 +143,6 @@ class CompiledAppCache:
             return {
                 "hits": self._hits,
                 "misses": self._misses,
-                "stale_recompiles": self._stale_recompiles,
                 # Per-app engine matrix: which per-stream engine each
                 # compiled app resolved to (cc / compiled-certified /
                 # compiled / interp).

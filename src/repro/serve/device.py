@@ -220,17 +220,17 @@ class DeviceWorker:
         """
         from ..interp.batch import run_batch_streams
 
-        header = list(app.header)
-        streams = [header + list(bytes(e.stream)) for e in live]
+        header = app.header
+        streams = [header + bytes(e.stream) for e in live]
         result = run_batch_streams(
             entry_obj.program, streams, unit=entry_obj.batch_unit,
         )
         batch.batch_stats = result.stats
-        for entry, outputs, trace in zip(
-            live, result.outputs, result.traces
+        for entry, outputs, vcycles in zip(
+            live, result.outputs, result.stats.lane_vcycles
         ):
             entry.outputs = outputs
-            entry.vcycles = trace.total_vcycles
+            entry.vcycles = vcycles
             if entry.job.stream_done(
                 entry.stream_index, outputs, entry.vcycles
             ):

@@ -48,13 +48,17 @@ class JobFuture:
 
     ``result()`` blocks until the job completes, was cancelled (raises
     :class:`~repro.serve.errors.JobCancelled`), or failed (re-raises the
-    device-side exception). ``cancel()`` is cooperative: streams already
-    executed stay executed, unstarted streams are skipped at the next
-    scheduling or per-stream checkpoint.
+    device-side exception). A job still waiting in a partial scheduling
+    window would wait for the window to fill, so ``result()`` and
+    ``result_async()`` first schedule that window through ``schedule``
+    (the server's hook; ``None`` for a detached job). ``cancel()`` is
+    cooperative: streams already executed stay executed, unstarted
+    streams are skipped at the next scheduling or per-stream checkpoint.
     """
 
-    def __init__(self, job):
+    def __init__(self, job, schedule=None):
         self._job = job
+        self._schedule = schedule
         self._event = threading.Event()
         self._result = None
         self._error = None
@@ -88,8 +92,13 @@ class JobFuture:
         self._job.cancelled = True
         return True
 
+    def _ensure_scheduled(self):
+        if self._schedule is not None and not self._event.is_set():
+            self._schedule(self._job)
+
     def result(self, timeout=None):
         """Block until done; returns the :class:`JobResult`."""
+        self._ensure_scheduled()
         if not self._event.wait(timeout):
             raise TimeoutError(
                 f"job {self.job_id} did not complete within {timeout}s"
@@ -103,6 +112,9 @@ class JobFuture:
         loop (the blocking wait runs in the loop's default executor)."""
         import asyncio
 
+        # Scheduling takes the server lock only briefly, so it runs on
+        # the loop; the blocking wait goes to the executor.
+        self._ensure_scheduled()
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self.result, timeout)
 
@@ -126,20 +138,18 @@ class Job:
     __slots__ = (
         "job_id", "app", "tenant", "streams", "arrival_vtime", "future",
         "cancelled", "status", "outputs", "vcycles", "remaining",
-        "batch_ids", "vfinish", "lock", "trace",
+        "batch_ids", "vfinish", "lock", "_trace",
     )
 
-    def __init__(self, job_id, app, tenant, streams, arrival_vtime):
+    def __init__(self, job_id, app, tenant, streams, arrival_vtime,
+                 schedule=None):
         self.job_id = job_id
         self.app = app
         self.tenant = tenant
         self.streams = streams  # list of bytes
         self.arrival_vtime = arrival_vtime
-        # End-to-end trace identity, minted at submission and carried
-        # through queue -> packer -> device -> batch engine; IDs are
-        # deterministic so traces inherit the report contract.
-        self.trace = SpanContext.for_job(job_id, app, tenant)
-        self.future = JobFuture(self)
+        self._trace = None  # minted on first read of ``trace``
+        self.future = JobFuture(self, schedule)
         self.cancelled = False
         self.status = PENDING
         self.outputs = [None] * len(streams)
@@ -148,6 +158,18 @@ class Job:
         self.batch_ids = []
         self.vfinish = 0.0  # weighted-fair-queuing virtual finish time
         self.lock = threading.Lock()
+
+    @property
+    def trace(self):
+        """End-to-end trace identity carried through queue -> packer ->
+        device -> batch engine. The IDs are a pure function of (job id,
+        app, tenant), so traces inherit the report contract; they are
+        hashed on first read, which keeps the digest off ``submit``."""
+        if self._trace is None:
+            self._trace = SpanContext.for_job(
+                self.job_id, self.app, self.tenant
+            )
+        return self._trace
 
     @property
     def stream_bytes(self):

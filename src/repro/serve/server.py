@@ -14,12 +14,14 @@ Lifecycle of a job::
 
 **Windows.** Submission appends the job to the current *window*; when
 the window reaches ``window_streams`` streams (a count trigger, fired on
-the submitting thread) or :meth:`flush`/:meth:`drain` is called, the
+the submitting thread), :meth:`flush`/:meth:`drain` is called, or a
+client waits on a job still in the window (``JobFuture.result()``), the
 window is scheduled: jobs are ordered by per-tenant weighted-fair
 queuing, their streams grouped by app, packed into device batches by the
 configured packer, and each batch placed on the least-loaded device
-shard. Count triggers — never timers — decide window boundaries, so
-batch composition is a pure function of the submission sequence.
+shard. Count triggers and explicit waits — never timers — decide window
+boundaries, so batch composition is a pure function of the sequence of
+submissions, flushes and waits.
 
 **Determinism.** Everything the report contains is derived from
 (submission sequence, config, measured virtual cycles); device worker
@@ -32,6 +34,7 @@ import threading
 
 from ..envcfg import env_path
 from ..telemetry.metrics import counter as _tm_counter
+from ..telemetry.metrics import enabled as _tm_enabled
 from ..telemetry.metrics import gauge as _tm_gauge
 from ..telemetry.metrics import histogram as _tm_histogram
 from ..telemetry.slo import SLO
@@ -274,6 +277,9 @@ class FleetServer:
         :class:`~repro.serve.errors.ServerOverloaded` (admission
         control), or :class:`~repro.serve.errors.ServerClosed`.
         """
+        # One telemetry check per submit: each recording call would
+        # otherwise re-read the environment on its own.
+        metrics = _tm_enabled()
         if app not in self.cache:
             _JOBS_REJECTED.inc(reason="unknown_app")
             raise UnknownApp(app, self.cache.app_names())
@@ -312,9 +318,11 @@ class FleetServer:
             job = Job(
                 job_id, app, tenant, streams,
                 arrival_vtime=job_id * self.config.arrival_spacing,
+                schedule=self._schedule_if_waiting,
             )
             self._jobs.append(job)
-            _JOBS_SUBMITTED.inc(tenant=tenant)
+            if metrics:
+                _JOBS_SUBMITTED.inc(tenant=tenant)
             tenant_state = self.wfq.tenant(tenant)
             tenant_state.jobs += 1
             tenant_state.streams += len(streams)
@@ -330,7 +338,8 @@ class FleetServer:
             if job_vcycles:
                 self._pending_vcycles += job_vcycles
                 self._pending_job_vcycles[job_id] = job_vcycles
-            _QUEUE_DEPTH.set(self._pending_streams)
+            if metrics:
+                _QUEUE_DEPTH.set(self._pending_streams)
             if self._pending_streams >= self.config.window_streams:
                 self._schedule_window_locked()
         return job.future
@@ -339,6 +348,14 @@ class FleetServer:
         """Schedule the current (possibly partial) window now."""
         with self._lock:
             self._schedule_window_locked()
+
+    def _schedule_if_waiting(self, job):
+        """Schedule the current window if ``job`` is still in it — the
+        hook a job's future calls before blocking, so waiting on a job
+        never depends on later submissions filling its window."""
+        with self._lock:
+            if job in self._window:
+                self._schedule_window_locked()
 
     def drain(self):
         """Flush, then block until every dispatched batch has executed."""

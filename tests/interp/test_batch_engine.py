@@ -28,7 +28,7 @@ from repro.interp import (
     numpy_available,
     run_batch_streams,
 )
-from repro.lang import FleetConfigError, UnitBuilder
+from repro.lang import FleetConfigError, FleetSimulationError, UnitBuilder
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy unavailable"
@@ -261,3 +261,227 @@ def test_predicted_waste_bound_unbounded_app_is_none():
     assert predicted.waste_bound is None
     # Lower bounds survive; no finite upper to violate.
     assert predicted.lane_bounds[0][0] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Batch I/O: bytes in, totals out
+# ---------------------------------------------------------------------------
+
+BACKENDS = ["numpy"] + (["cc"] if cc_available() else [])
+
+
+def _serve_lanes(app, seed):
+    """Ragged lanes of one served app as bytes: header + payload lanes,
+    a header-only lane and an empty lane."""
+    rng = random.Random(seed)
+    payloads = [bytes(rng.randrange(256) for _ in range(rng.randrange(300)))
+                for _ in range(5)]
+    return [app.header + p for p in payloads] + [app.header, b""]
+
+
+@requires_numpy
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "name", ["bloom_filter", "integer_coding", "json_parsing", "regex",
+             "smith_waterman"],
+)
+def test_bytes_and_token_lists_agree(backend, name):
+    from repro.interp import predict_batch_stats
+    from repro.serve import catalog_apps
+
+    app = catalog_apps()[name]
+    program = app.unit_factory()
+    unit = compile_batch(program, backend=backend)
+    lanes = _serve_lanes(app, seed=len(name))
+    got = run_batch_streams(program, lanes, unit=unit)
+    want = run_batch_streams(program, [list(s) for s in lanes], unit=unit)
+    assert got.outputs == want.outputs
+    assert got.stats.lane_vcycles == want.stats.lane_vcycles
+    assert got.cycles == want.cycles == max(got.stats.lane_vcycles)
+    # Lazily built traces equal per-lane compiled-engine runs, and their
+    # totals are the lane totals the batch reported without them.
+    for lane, stream in enumerate(lanes):
+        outputs, vcycles, emits, _, _ = _reference(program, list(stream))
+        assert got.outputs[lane] == outputs, lane
+        assert got.traces[lane].vcycles_per_token == vcycles, lane
+        assert got.traces[lane].emits_per_token == emits, lane
+        assert got.stats.lane_vcycles[lane] == sum(vcycles), lane
+    # predicted_stats still sees each lane's token count.
+    assert got.predicted_stats.as_dict() == predict_batch_stats(
+        program, [len(s) for s in lanes]).as_dict()
+
+
+@requires_numpy
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_all_ones_fast_path_totals(backend):
+    # identity has no while loop: with equal lane lengths the NumPy
+    # driver never fills its vcycle matrix, every count being 1.
+    program = identity_unit()
+    unit = compile_batch(program, backend=backend)
+    result = run_batch_streams(program, [b"abc", b"xyz"], unit=unit)
+    assert result.stats.lane_vcycles == [4, 4]
+    assert result.cycles == 4
+    assert [t.vcycles_per_token for t in result.traces] == [[1] * 4] * 2
+    assert [t.emits_per_token for t in result.traces] == \
+        [[1, 1, 1, 0]] * 2
+
+
+@requires_numpy
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_narrow_input_width_rejects_same_token_for_bytes_and_lists(backend):
+    b = UnitBuilder("narrow", input_width=4, output_width=4)
+    b.emit(b.input)
+    program = b.finish()
+    unit = compile_batch(program, backend=backend)
+    ok = run_batch_streams(program, [b"\x01\x0f", b""], unit=unit)
+    # The ungated emit also fires on the cleanup cycle (token 0).
+    assert ok.outputs == [[1, 15, 0], [0]]
+    messages = []
+    for lanes in ([b"\x03", b"\x02\x20\x40"], [[3], [2, 0x20, 0x40]]):
+        with pytest.raises(FleetSimulationError) as err:
+            run_batch_streams(program, lanes, unit=unit)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "32" in messages[0] and "4-bit" in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# Native lanes shared across threads
+# ---------------------------------------------------------------------------
+
+requires_cc = pytest.mark.skipif(not cc_available(),
+                                 reason="no C toolchain")
+
+
+def _share_lanes(monkeypatch, threads, split_tokens=0):
+    """Run native batches of ``split_tokens`` or more tokens on
+    ``threads`` threads; returns the thread counts of the batches that
+    shared their lanes."""
+    from repro.interp import batch
+
+    monkeypatch.setattr(batch, "_SPLIT_TOKENS", split_tokens)
+    monkeypatch.setattr(batch, "_lane_threads", lambda: threads)
+    calls = []
+    run_shared = batch._CcBatch.run_shared
+
+    def counted(self, threads):
+        calls.append(threads)
+        return run_shared(self, threads)
+
+    monkeypatch.setattr(batch._CcBatch, "run_shared", counted)
+    return calls
+
+
+def _fanout_unit():
+    """Emits every token eight times: more outputs than the native
+    driver's first output buffer holds for a long lane."""
+    b = UnitBuilder("fanout", input_width=8, output_width=8)
+    ctr = b.reg("ctr", width=4, init=0)
+    with b.while_(ctr < 8):
+        ctr.set(ctr + 1)
+        b.emit(b.input)
+    ctr.set(0)
+    return b.finish()
+
+
+@requires_numpy
+@requires_cc
+@pytest.mark.parametrize("key", sorted(APPS))
+def test_shared_lanes_trace_exact(key, monkeypatch):
+    calls = _share_lanes(monkeypatch, threads=3)
+    make, sample = APPS[key]
+    program = make()
+    unit = compile_batch(program, backend="cc")
+    _check_batch(program, _ragged_streams(sample, seed=len(key)),
+                 unit=unit)
+    assert calls == [3]
+
+
+@requires_numpy
+@requires_cc
+@pytest.mark.parametrize("threads", [1, 3])
+def test_native_output_buffer_regrows(threads, monkeypatch):
+    calls = _share_lanes(monkeypatch, threads=threads)
+    program = _fanout_unit()
+    unit = compile_batch(program, backend="cc")
+    rng = random.Random(5)
+    streams = [[rng.randrange(256) for _ in range(n)]
+               for n in (1500, 0, 700, 1200)]
+    result = _check_batch(program, streams, unit=unit)
+    # Eight outputs per token, the cleanup cycle's included.
+    assert [len(o) for o in result.outputs] == [12008, 8, 5608, 9608]
+    assert calls == ([3] if threads > 1 else [])
+
+
+@requires_numpy
+@requires_cc
+def test_shared_lanes_loop_limit_message_matches_compiled(monkeypatch):
+    _share_lanes(monkeypatch, threads=3)
+    b = UnitBuilder("spin", input_width=8, output_width=8)
+    r = b.reg("r", width=8, init=0)
+    with b.while_(r < 200):
+        r.set(r & 0)  # r stays 0: never terminates
+    program = b.finish()
+    unit = compile_batch(program, backend="cc")
+    with pytest.raises(Exception) as batch_err:
+        run_batch_streams(program, [[1], [], [2, 3]], unit=unit,
+                          max_vcycles_per_token=50)
+    with pytest.raises(Exception) as compiled_err:
+        CompiledSimulator(program, max_vcycles_per_token=50).run([1])
+    assert str(batch_err.value) == str(compiled_err.value)
+
+
+@requires_numpy
+@requires_cc
+def test_only_large_native_batches_share_lanes(monkeypatch):
+    from repro.interp import batch
+
+    calls = _share_lanes(monkeypatch, threads=2,
+                         split_tokens=batch._SPLIT_TOKENS)
+    program = identity_unit()
+    unit = compile_batch(program, backend="cc")
+    half = batch._SPLIT_TOKENS // 2
+    small = run_batch_streams(program, [b"a" * half, b"b" * (half - 1)],
+                              unit=unit)
+    assert calls == []
+    large = run_batch_streams(program, [b"a" * half, b"b" * half],
+                              unit=unit)
+    assert calls == [2]
+    assert small.outputs[0] == large.outputs[0] == [97] * half
+    assert large.stats.lane_vcycles == [half + 1] * 2
+
+
+@requires_numpy
+@requires_cc
+def test_shared_lanes_under_thread_contention(monkeypatch):
+    # More lane threads than cores, switching as often as the
+    # interpreter allows: a lost lane, output or state write-back
+    # shows up as a mismatch against per-lane compiled runs.
+    import sys
+    import threading
+
+    calls = _share_lanes(monkeypatch, threads=8)
+    make, sample = APPS["bloom_filter"]
+    program = make()
+    unit = compile_batch(program, backend="cc")
+    streams = _ragged_streams(sample, lanes=40, tokens=200, seed=11)
+    got = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: got.update(
+            result=run_batch_streams(program, streams, unit=unit)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not worker.is_alive()
+    assert calls == [8]
+    result = got["result"]
+    for lane, stream in enumerate(streams):
+        outputs, vcycles, _, regs, brams = _reference(program, stream)
+        assert result.outputs[lane] == outputs, lane
+        assert result.stats.lane_vcycles[lane] == sum(vcycles), lane
+        assert result.reg_state(lane) == regs, lane
+        for name, contents in brams.items():
+            assert result.peek_bram(lane, name) == contents, (lane, name)

@@ -86,19 +86,26 @@ def test_cc_requires_a_certificate():
 def test_stale_certificate_refuses_native_build():
     from repro.lang.ast import BramWrite, Const
 
-    b = UnitBuilder("cc-stale", input_width=8, output_width=8)
-    m = b.bram("m", elements=8, width=8)
-    m[0] = b.input
-    b.emit(b.input)
-    program = b.finish()
+    def build(conflict):
+        b = UnitBuilder("cc-stale", input_width=8, output_width=8)
+        m = b.bram("m", elements=8, width=8)
+        m[0] = b.input
+        b.emit(b.input)
+        if conflict:
+            m[1] = 2
+        return b.finish()
+
+    program = build(conflict=False)
     certificate = certificate_for(program)
     assert certificate.ok
-    program.body = tuple(program.body) + (
-        BramWrite(program.brams[0], Const(1, 3), Const(2, 8)),
-    )
-    assert not certificate.covers(program)
+    with pytest.raises(AttributeError, match="sealed"):
+        program.body = tuple(program.body) + (
+            BramWrite(program.brams[0], Const(1, 3), Const(2, 8)),
+        )
+    other = build(conflict=True)
+    assert not certificate.covers(other)
     with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_cc(program, certificate=certificate)
+        compile_cc(other, certificate=certificate)
 
 
 def test_fleet_native_off_disables_the_engine(monkeypatch):

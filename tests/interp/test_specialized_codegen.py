@@ -117,7 +117,7 @@ def test_guarded_unit_reports_no_elisions():
 
 
 # ---------------------------------------------------------------------------
-# Certificate invalidation: stale fingerprints never elide
+# Certificate binding: sealed programs, mismatched certificates never elide
 # ---------------------------------------------------------------------------
 
 
@@ -129,9 +129,20 @@ def _conflict_free_unit():
     return b.finish()
 
 
-def _mutate_into_conflict(program):
-    """Append a second unconditional write to the same BRAM — a dynamic
-    two-writes restriction violation on every token."""
+def _conflicting_unit():
+    """``_conflict_free_unit`` plus a second unconditional write to the
+    same BRAM — a dynamic two-writes restriction violation on every
+    token. Same name, different structure: built separately, because a
+    sealed program cannot be turned into it."""
+    b = UnitBuilder("inv", input_width=8, output_width=8)
+    m = b.bram("m", elements=8, width=8)
+    m[0] = b.input
+    b.emit(b.input)
+    m[1] = 2
+    return b.finish()
+
+
+def _append_conflict(program):
     from repro.lang.ast import BramWrite, Const
 
     program.body = tuple(program.body) + (
@@ -143,23 +154,35 @@ def test_stale_certificate_refuses_specialization():
     program = _conflict_free_unit()
     certificate = certificate_for(program)
     assert certificate.ok
-    _mutate_into_conflict(program)
-    assert not certificate.covers(program)
+    # The certified program cannot be changed under its certificate ...
+    with pytest.raises(AttributeError, match="sealed"):
+        _append_conflict(program)
+    assert certificate.covers(program)
+    # ... and a certificate handed a different program of the same name
+    # is refused, never used to elide.
+    other = _conflicting_unit()
+    assert not certificate.covers(other)
     with pytest.raises(FleetSimulationError, match="refusing"):
-        compile_program(program, certificate=certificate)
-    assert try_specialize(program, certificate=certificate) is None
+        compile_program(other, certificate=certificate)
+    assert try_specialize(other, certificate=certificate) is None
 
 
 def test_mutated_program_is_still_dynamically_checked():
     program = _conflict_free_unit()
     certificate = certificate_for(program)
-    _mutate_into_conflict(program)
-    # The stale certificate is rejected outright — it can never elide.
+    write = program.body[0]
+    with pytest.raises(AttributeError, match="sealed"):
+        write.addr = write.value
+    with pytest.raises(AttributeError, match="sealed"):
+        program.brams[0].elements = 4
+    other = _conflicting_unit()
+    # The mismatched certificate is rejected outright — it can never
+    # elide.
     with pytest.raises(FleetSimulationError, match="does not cover"):
-        UnitSimulator(program, certificate=certificate)
+        UnitSimulator(other, certificate=certificate)
     # And the unassisted interpreter still catches the violation.
     with pytest.raises(FleetRestrictionError, match="written twice"):
-        UnitSimulator(program).process_token(0)
+        UnitSimulator(other).process_token(0)
 
 
 def test_rejected_certificate_refuses_specialization():

@@ -1,4 +1,4 @@
-"""AST traversal utilities."""
+"""AST traversal utilities and program sealing."""
 
 import pytest
 
@@ -62,3 +62,52 @@ def test_decl_reprs_are_informative():
     assert "r" in repr(unit.regs[0])
     assert "m" in repr(unit.brams[0])
     assert "elements=16" in repr(unit.brams[0])
+
+
+def test_sealed_program_refuses_mutation():
+    unit = build_sample()
+    when, emit = unit.body[0], unit.body[-1]
+    loop = when.arms[0][1][0]
+    # Nested bodies are tuples, so they cannot grow or shrink in place.
+    assert isinstance(unit.body, tuple)
+    assert isinstance(when.arms, tuple)
+    assert all(isinstance(arm, tuple) and isinstance(arm[1], tuple)
+               for arm in when.arms)
+    assert isinstance(loop.body, tuple)
+    assign = loop.body[0]
+    targets = [
+        (unit, "body"), (unit, "name"), (unit, "regs"),
+        (unit, "input_width"), (unit, "source_lines"),
+        (when, "arms"), (loop, "body"), (loop, "cond"),
+        (assign, "value"), (emit, "value"),
+        (emit.value, "addr"), (emit.value, "width"),
+        (unit.regs[0], "init"), (unit.brams[0], "elements"),
+    ]
+    for obj, attr in targets:
+        with pytest.raises(AttributeError, match="sealed"):
+            setattr(obj, attr, getattr(obj, attr))
+        with pytest.raises(AttributeError, match="sealed"):
+            delattr(obj, attr)
+    with pytest.raises(AttributeError):
+        unit.extra = 1
+
+
+def test_sealed_program_keeps_memo_attributes_settable():
+    unit = build_sample()
+    unit._fleet_probe = 1
+    assert unit._fleet_probe == 1
+
+
+def test_sealing_covers_directly_constructed_programs():
+    m = ast.BramDecl("m", elements=4, width=8)
+    inner = ast.While(ast.Const(0, 1), [ast.Emit(ast.InputToken(8))])
+    arms = [(ast.StreamFinished(), [inner]), (None, [])]
+    program = ast.UnitProgram("direct", 8, 8, (), (), (m,),
+                              [ast.If(arms)])
+    stmt = program.body[0]
+    assert stmt.arms == ((arms[0][0], (inner,)), (None, ()))
+    assert inner.body == (inner.body[0],)
+    with pytest.raises(AttributeError, match="sealed"):
+        inner.body = ()
+    with pytest.raises(AttributeError, match="sealed"):
+        m.width = 16

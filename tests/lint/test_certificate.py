@@ -9,9 +9,14 @@ from repro.lang.errors import (
     FleetRestrictionError,
     FleetSimulationError,
 )
-from repro.lint import certificate_for, certify_program, program_fingerprint
+from repro.lint import (
+    certificate_for,
+    certify_program,
+    fingerprint_for,
+    program_fingerprint,
+)
 from repro.lint.selftest import _unproven_conflict
-from repro.lint.units import build_app_unit
+from repro.lint.units import APP_UNIT_BUILDERS, build_app_unit
 
 
 def test_fingerprint_is_reproducible_and_distinguishes_programs():
@@ -21,6 +26,43 @@ def test_fingerprint_is_reproducible_and_distinguishes_programs():
     assert a1 == a2
     assert a1 != b
     assert len(a1) == 64 and int(a1, 16) >= 0
+
+
+#: ``program_fingerprint`` of every app unit, pinned so that no change
+#: to how programs are built or stored moves a fingerprint (and with it
+#: a certificate binding or a native-kernel cache tag).
+PINNED_FINGERPRINTS = {
+    "identity":
+        "495cff50e733452f0ff90098e5060422625877bcbbb587c79c3c3abc61bd6127",
+    "sink":
+        "cf8a1412b47b2875af046264e2ec0f143d509487ecb768614f7c895ab1323744",
+    "block_frequencies":
+        "74dbbf21412f0ef2de4c1936c84b3097a42d141faf5de126754a6666b3b9888a",
+    "csv_extract":
+        "fccaa27f061805aade510ec68b34d4c3c90cbd41044f409deecf615f217ee33b",
+    "int_coding":
+        "5d497af53e7c84b897b4618ed050170eaf0eb50a95c8150b7cc7a3ea01e24d65",
+    "bloom_filter":
+        "b946070ea7ac82f7846a9ec7dedfe7182448673a54f0eed05de9cc359af1ea96",
+    "decision_tree":
+        "64d4375a84c8ff97cd05afcedaff23e87eb9a592717cc01ae92cf7e2cb98f6b3",
+    "json_field":
+        "43140587495ae225b7a6829acc0a59502edb979aa504242d11fdfb362b9c0af4",
+    "regex_match":
+        "58035b7e201b4207f191a1fcd95d259f6bef3411392e8d413a6fa50a68ffdf5c",
+    "smith_waterman":
+        "596fb2e2fc7d9c8f2dc4a0c169fbc7e8442645241bb3fd6fbeac35c6a28544bf",
+    "string_search":
+        "04f24cb6103683042931e3844e52283bc3e43527bd135a9ec7ce232bc498435a",
+}
+
+
+def test_app_unit_fingerprints_are_pinned():
+    assert sorted(PINNED_FINGERPRINTS) == sorted(APP_UNIT_BUILDERS)
+    for name, expected in PINNED_FINGERPRINTS.items():
+        program = build_app_unit(name)
+        assert program_fingerprint(program) == expected, name
+        assert fingerprint_for(program) == expected, name
 
 
 def test_certificate_covers_only_its_own_program():

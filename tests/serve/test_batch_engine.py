@@ -65,3 +65,83 @@ def test_batch_engine_off_runs_per_stream():
     _, report = _run(batch_engine=False)
     assert report["config"]["batch_engine"] is False
     assert not any("batch_engine" in b for b in report["batches"])
+
+
+# ---------------------------------------------------------------------------
+# Hot path: no per-lookup fingerprinting, no per-token traces
+# ---------------------------------------------------------------------------
+
+MIX = ("regex", "bloom_filter", "json_parsing", "integer_coding")
+
+
+def _mix_jobs(count, seed=7):
+    import random
+
+    rng = random.Random(seed)
+    return [
+        (MIX[i % len(MIX)],
+         [bytes(rng.randrange(256) for _ in range(rng.randrange(16, 400)))
+          for _ in range(rng.randrange(1, 4))])
+        for i in range(count)
+    ]
+
+
+def _serve_mix(server, jobs):
+    futures = [server.submit(app, streams) for app, streams in jobs]
+    server.drain()
+    return [f.result(timeout=60) for f in futures]
+
+
+def _mix_server():
+    from repro.serve import catalog_apps
+
+    apps = {name: app for name, app in catalog_apps().items()
+            if name in MIX}
+    return FleetServer(apps, config=ServeConfig())
+
+
+@requires_numpy
+def test_serve_fingerprints_each_program_once(monkeypatch):
+    import repro.lint.certificate as certificate
+
+    calls = []
+    original = certificate.program_fingerprint
+
+    def counting(program):
+        calls.append(program.name)
+        return original(program)
+
+    monkeypatch.setattr(certificate, "program_fingerprint", counting)
+    with _mix_server() as server:
+        results = _serve_mix(server, _mix_jobs(200))
+        report = server.report()
+    assert len(results) == 200
+    stats = report["cache"]
+    assert stats["misses"] == len(MIX)
+    # Every batch looks its app up at least once.
+    assert stats["hits"] >= report["totals"]["batches"] > len(MIX)
+    assert len(calls) <= len(MIX)
+    assert len(set(calls)) == len(calls)
+
+
+@requires_numpy
+def test_batched_serve_builds_no_stream_traces(monkeypatch):
+    from repro.interp.trace import StreamTrace
+
+    with _mix_server() as server:
+        # Warm up: compile every app and calibrate its cost model (the
+        # calibration runs per-stream simulators, which do keep traces).
+        _serve_mix(server, [(app, [b"warm"]) for app in MIX])
+        built = []
+        original = StreamTrace.__init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(StreamTrace, "__init__", counting)
+        results = _serve_mix(server, _mix_jobs(40, seed=8))
+        report = validate_serve_report(server.report())
+    assert len(results) == 40
+    assert all(b.get("batch_engine") for b in report["batches"])
+    assert built == []

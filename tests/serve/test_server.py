@@ -150,6 +150,24 @@ def test_async_result_bridge():
     assert all(bytes(r.outputs[0]) == _streams((16,))[0] for r in results)
 
 
+def test_waiting_schedules_a_partial_window():
+    config = ServeConfig(devices=1, pu_slots=4, window_streams=64)
+    with FleetServer(config=config) as server:
+        first = server.submit("identity", _streams((16,)))
+        second = server.submit("identity", _streams((8, 8)))
+        # Nothing filled the 64-stream window; waiting schedules it.
+        assert asyncio.run(first.result_async(timeout=30)).job_id == 0
+        assert second.result(timeout=30).job_id == 1
+        third = server.submit("identity", _streams((4,)))
+        outputs = third.result(timeout=30).outputs
+        assert [bytes(out) for out in outputs] == _streams((4,))
+        server.drain()
+        batches = validate_serve_report(server.report())["batches"]
+    # The first wait scheduled both waiting jobs in one window; the
+    # third job got a window of its own.
+    assert len(batches) == 2
+
+
 # ---------------------------------------------------------------------------
 # memory_sim mode
 # ---------------------------------------------------------------------------
