@@ -52,6 +52,11 @@ Like check-elision in the compiled engine, automatic selection
 :class:`~repro.lint.certificate.RestrictionCertificate`: the grouped
 write commits assume the restriction checks can never fire.
 
+When the program is certified and a C toolchain is present, batches
+run on the native tier instead: the program's certified scalar kernel
+(:mod:`repro.interp.cc`, the same build the per-stream cc engine uses),
+once per lane, through its ``fleet_lanes`` entry point.
+
 NumPy is an optional dependency: when it is missing every entry point
 degrades gracefully (``batch_support`` says so, ``batch_engine_for``
 returns ``None`` so callers fall back to the compiled engine) and
@@ -60,9 +65,7 @@ install hint.
 """
 
 import os
-import re
 import threading
-import time
 
 try:  # pragma: no cover - exercised both ways across environments
     import numpy as _np
@@ -78,11 +81,9 @@ from ..lang.errors import (
 )
 from ..lang.types import MACHINE_WIDTH, machine_bits, mask
 from ..telemetry.metrics import counter as _tm_counter
-from ..telemetry.metrics import enabled as _tm_enabled
-from ..telemetry.metrics import histogram as _tm_histogram
 from . import native as _native
-from .compile import _Codegen as _ScalarCodegen
-from .native import _cc_load, cc_available
+from .cc import cc_engine_for, compile_cc
+from .native import cc_available
 from .trace import StreamTrace
 
 #: Live telemetry (repro.telemetry; zero-cost unless FLEET_METRICS).
@@ -95,10 +96,6 @@ _BATCH_FALLBACKS = _tm_counter(
 _BATCH_COMPILES = _tm_counter(
     "fleet_batch_compiles_total",
     "Unit programs lowered to the SIMD batch engine",
-)
-_NATIVE_BUILD_SECONDS = _tm_histogram(
-    "fleet_batch_native_build_seconds",
-    "Wall-clock seconds per native (cffi) batch-kernel build or load",
 )
 
 #: Shown when the batch engine is requested but NumPy is not importable.
@@ -1477,337 +1474,23 @@ class _BatchCodegen:
 
 
 # ---------------------------------------------------------------------------
-# Native tier: one C kernel per program via cffi
+# Native tier: the certified scalar kernel, once per lane
 # ---------------------------------------------------------------------------
 #
 # The NumPy lowering above amortizes Python overhead across N lanes, but
 # each virtual cycle still pays ~one ufunc dispatch per structural class.
-# When a C toolchain is present (cffi + a working compiler) we can do
-# strictly better: transliterate the *compiled engine's* per-cycle code
-# into C once per program and run every lane as straight-line scalar
-# machine code. Lanes never interact — outputs, traces, and final state
-# are interleaving-independent, and the batch's global cycle count is
-# the max over lanes — so a lane-major loop nest reproduces the SIMD
-# semantics exactly while eliminating all interpreter overhead.
+# Lanes never interact — outputs, traces, and final state are
+# interleaving-independent, and the batch's global cycle count is the
+# max over lanes — so running each lane's whole stream on the certified
+# scalar kernel (:mod:`repro.interp.cc`) reproduces the SIMD semantics
+# exactly. Its ``fleet_lanes`` entry point loops over the lanes in C.
 #
-# Layouts: tokens are lane-major ``(N, L)``; per-lane state keeps the
-# shared register layout ``(R, N)`` (so ``peek_reg`` is unchanged) and
-# transposes each ``(B, E, N)`` state group to lane-major ``(B, N, E)``
-# for the kernel, transposing back afterwards. The kernel appends
-# emitted values to one flat buffer (per-lane counts are returned, so
-# output assembly is a cumsum slice); if the buffer fills, it returns a
-# capacity error and the pure run is simply retried with a larger one.
-
-
-class _CCodegen(_ScalarCodegen):
-    """Renders a whole-batch C kernel for one program.
-
-    Reuses the scalar codegen's write-site inventory, DAG hoisting, and
-    two-pass cycle structure; only the surface syntax (and the pending-
-    write buffers, which become fixed-size C locals) change, so the
-    virtual-cycle semantics — reads see start-of-cycle state, pending
-    writes commit last-wins at end of cycle, at most one emit lands per
-    cycle, leaves outside whiles fire only on the ``while_done`` cycle —
-    are inherited from the compiled engine by construction.
-    """
-
-    def __init__(self, program, unit):
-        super().__init__(program)
-        self.unit = unit
-
-    # -- expression rendering (C) -------------------------------------
-    def _render_body(self, node):
-        if isinstance(node, ast.Const):
-            return f"{node.value}ULL"
-        if isinstance(node, ast.InputToken):
-            return "_tok"
-        if isinstance(node, ast.StreamFinished):
-            return "_sf"
-        if isinstance(node, ast.RegRead):
-            return self.reg_name[node.reg]
-        if isinstance(node, ast.WireRead):
-            return self._render(node.wire.value)
-        if isinstance(node, ast.VectorRegRead):
-            index = self._trunc(node.index, node.vreg.index_width)
-            return f"{self.vreg_name[node.vreg]}[{index}]"
-        if isinstance(node, ast.BramRead):
-            addr = self._trunc(node.addr, node.bram.addr_width)
-            return f"{self.bram_name[node.bram]}[{addr}]"
-        if isinstance(node, ast.BinOp):
-            lhs, rhs = self._render(node.lhs), self._render(node.rhs)
-            op = node.op
-            if op in ("add", "mul", "and", "or", "xor"):
-                c = {"add": "+", "mul": "*", "and": "&",
-                     "or": "|", "xor": "^"}[op]
-                return f"({lhs} {c} {rhs})"
-            if op in _CMP_OPS:
-                c = {"eq": "==", "ne": "!=", "lt": "<",
-                     "le": "<=", "gt": ">", "ge": ">="}[op]
-                return f"((uint64_t)({lhs} {c} {rhs}))"
-            if op == "shl":
-                return f"_shl64({lhs}, {rhs})"
-            if op == "shr":
-                return f"_shr64({lhs}, {rhs})"
-            if op == "sub":
-                return f"(({lhs} - {rhs}) & {hex(mask(node.width))}ULL)"
-            raise _Unsupported(node)
-        if isinstance(node, ast.UnOp):
-            a = self._render(node.operand)
-            w = node.operand.width
-            if node.op == "not":
-                return f"((~{a}) & {hex(mask(w))}ULL)"
-            if node.op == "lnot":
-                return f"((uint64_t)({a} == 0))"
-            if node.op == "orr":
-                return f"((uint64_t)({a} != 0))"
-            if node.op == "andr":
-                return f"((uint64_t)({a} == {hex(mask(w))}ULL))"
-            if node.op == "xorr":
-                return f"((uint64_t)(__builtin_popcountll({a}) & 1))"
-            raise _Unsupported(node)
-        if isinstance(node, ast.Mux):
-            cond = self._render(node.cond)
-            then = self._render(node.then)
-            els = self._render(node.els)
-            return f"({cond} ? ({then}) : ({els}))"
-        if isinstance(node, ast.Slice):
-            a = self._render(node.operand)
-            if node.lo == 0 and node.width == node.operand.width:
-                return a
-            shifted = a if node.lo == 0 else f"({a} >> {node.lo})"
-            return f"({shifted} & {hex(mask(node.width))}ULL)"
-        if isinstance(node, ast.Concat):
-            out = self._render(node.parts[0])
-            for part in node.parts[1:]:
-                out = f"(({out} << {part.width}) | {self._render(part)})"
-            return out
-        raise _Unsupported(node)
-
-    def _trunc(self, node, width):
-        rendered = self._render(node)
-        if node.width > width:
-            return f"({rendered} & {hex(mask(width))}ULL)"
-        return rendered
-
-    # -- statement rendering (C) --------------------------------------
-    def _emit_pass1(self, lines, body, indent):
-        pad = "    " * indent
-        for stmt in body:
-            if isinstance(stmt, ast.While):
-                cond = self._render(stmt.cond)
-                lines.append(f"{pad}if (_wd && {cond}) _wd = 0;")
-            elif isinstance(stmt, ast.If) and self._contains_while(stmt):
-                lines.append(f"{pad}if (_wd) {{")
-                first = True
-                for cond, arm_body in stmt.arms:
-                    if cond is not None:
-                        kw = "if" if first else "} else if"
-                        rendered = self._render(cond)
-                        lines.append(f"{pad}    {kw} ({rendered}) {{")
-                    else:
-                        lines.append(
-                            f"{pad}    " + ("if (1) {" if first else "} else {")
-                        )
-                    first = False
-                    self._emit_pass1(lines, arm_body, indent + 2)
-                lines.append(f"{pad}    }}")
-                lines.append(f"{pad}}}")
-        return True
-
-    def _leaf_code(self, stmt):
-        if isinstance(stmt, ast.RegAssign):
-            i = self.program.regs.index(stmt.reg)
-            value = self._trunc(stmt.value, stmt.reg.width)
-            return f"_pr{i} = {value}; _prs{i} = 1;"
-        if isinstance(stmt, ast.VectorRegAssign):
-            i = self.program.vregs.index(stmt.vreg)
-            idx = self._trunc(stmt.index, stmt.vreg.index_width)
-            value = self._trunc(stmt.value, stmt.vreg.width)
-            if self.vreg_sites[stmt.vreg] == 1:
-                return f"_pvi{i} = {idx}; _pvv{i} = {value}; _pvs{i} = 1;"
-            # Each syntactic site runs at most once per cycle (a while
-            # body is entered at most once per virtual cycle), so the
-            # fixed-size queue below can never overflow.
-            return (f"_pqi{i}[_pqn{i}] = {idx}; "
-                    f"_pqv{i}[_pqn{i}] = {value}; _pqn{i}++;")
-        if isinstance(stmt, ast.BramWrite):
-            i = self.program.brams.index(stmt.bram)
-            addr = self._trunc(stmt.addr, stmt.bram.addr_width)
-            value = self._trunc(stmt.value, stmt.bram.width)
-            return f"_pbi{i} = {addr}; _pbv{i} = {value}; _pbs{i} = 1;"
-        if isinstance(stmt, ast.Emit):
-            value = self._trunc(stmt.value, self.program.output_width)
-            return f"_em = {value}; _ems = 1;"
-        raise _Unsupported(stmt)
-
-    def _emit_pass2(self, lines, body, indent, in_loop):
-        pad = "    " * indent
-        pending = []
-
-        def flush():
-            if not pending:
-                return
-            if in_loop:
-                for code in pending:
-                    lines.append(pad + code)
-            else:
-                lines.append(f"{pad}if (_wd) {{")
-                for code in pending:
-                    lines.append(f"{pad}    {code}")
-                lines.append(f"{pad}}}")
-            pending.clear()
-
-        for stmt in body:
-            if isinstance(stmt, ast.If):
-                flush()
-                first = True
-                for cond, arm_body in stmt.arms:
-                    if cond is not None:
-                        kw = "if" if first else "} else if"
-                        rendered = self._render(cond)
-                        lines.append(f"{pad}{kw} ({rendered}) {{")
-                    else:
-                        lines.append(
-                            pad + ("if (1) {" if first else "} else {")
-                        )
-                    first = False
-                    self._emit_pass2(lines, arm_body, indent + 1, in_loop)
-                lines.append(f"{pad}}}")
-            elif isinstance(stmt, ast.While):
-                flush()
-                cond = self._render(stmt.cond)
-                lines.append(f"{pad}if ({cond}) {{")
-                self._emit_pass2(lines, stmt.body, indent + 1, True)
-                lines.append(f"{pad}}}")
-            else:
-                pending.append(self._leaf_code(stmt))
-        flush()
-        return True
-
-    # -- assembly -----------------------------------------------------
-    def _cycle_lines(self):
-        roots = self._collect_roots()
-        lines = []
-        for hoist in self._hoist_lines(roots):
-            name, body = hoist.split(" = ", 1)
-            lines.append(f"uint64_t {name} = {body};")
-        lines.append("int _wd = 1;")
-        self._emit_pass1(lines, self.program.body, 0)
-        for i, reg in enumerate(self.program.regs):
-            if reg in self.assigned_regs:
-                lines.append(f"uint64_t _pr{i} = 0; int _prs{i} = 0;")
-        for i, vreg in enumerate(self.program.vregs):
-            sites = self.vreg_sites.get(vreg, 0)
-            if sites == 1:
-                lines.append(
-                    f"uint64_t _pvi{i} = 0, _pvv{i} = 0; int _pvs{i} = 0;"
-                )
-            elif sites > 1:
-                lines.append(
-                    f"uint64_t _pqi{i}[{sites}], _pqv{i}[{sites}]; "
-                    f"int _pqn{i} = 0;"
-                )
-        for i, bram in enumerate(self.program.brams):
-            if bram in self.written_brams:
-                lines.append(f"uint64_t _pbi{i} = 0, _pbv{i} = 0; "
-                             f"int _pbs{i} = 0;")
-        if self.has_emit:
-            lines.append("uint64_t _em = 0; int _ems = 0;")
-        self._emit_pass2(lines, self.program.body, 0, False)
-        for i, reg in enumerate(self.program.regs):
-            if reg in self.assigned_regs:
-                lines.append(f"if (_prs{i}) _r{i} = _pr{i};")
-        for i, vreg in enumerate(self.program.vregs):
-            sites = self.vreg_sites.get(vreg, 0)
-            if sites == 1:
-                lines.append(f"if (_pvs{i}) _v{i}[_pvi{i}] = _pvv{i};")
-            elif sites > 1:
-                lines.append(
-                    f"for (int _q = 0; _q < _pqn{i}; _q++) "
-                    f"_v{i}[_pqi{i}[_q]] = _pqv{i}[_q];"
-                )
-        for i, bram in enumerate(self.program.brams):
-            if bram in self.written_brams:
-                lines.append(f"if (_pbs{i}) _b{i}[_pbi{i}] = _pbv{i};")
-        if self.has_emit:
-            lines.append("if (_ems) {")
-            lines.append("    if (_outn >= out_cap) "
-                         "{ err[0] = 2; return -1; }")
-            lines.append("    out_vals[_outn++] = _em;")
-            lines.append("    _emits++;")
-            lines.append("}")
-        return lines
-
-    def generate(self):
-        cycle = self._cycle_lines()
-        program = self.program
-        unit = self.unit
-        nsg = len(unit.state_groups)
-        sg_params = "".join(f", uint64_t *sg{g}" for g in range(nsg))
-        lines = []
-        out = lines.append
-        out("#include <stdint.h>")
-        out("")
-        out("static inline uint64_t _shl64(uint64_t a, uint64_t b)")
-        out("{ return b > 63 ? 0 : a << b; }")
-        out("static inline uint64_t _shr64(uint64_t a, uint64_t b)")
-        out("{ return b > 63 ? 0 : a >> b; }")
-        out("")
-        out("int fleet_run(uint64_t *toks, int64_t *lens,")
-        out("              int64_t L, int64_t N,")
-        out(f"              uint64_t *regs{sg_params},")
-        out("              int64_t max_vc,")
-        out("              uint64_t *out_vals, int64_t out_cap,")
-        out("              int64_t *out_cnt,")
-        out("              int32_t *vca, int32_t *ema, int64_t *err)")
-        out("{")
-        out("    int64_t _outn = 0;")
-        out("    for (int64_t _lane = 0; _lane < N; _lane++) {")
-        for i in range(len(program.regs)):
-            row = unit.reg_loc[i][1]
-            out(f"        uint64_t _r{i} = regs[{row} * N + _lane];")
-        for i in range(len(program.vregs)):
-            gid, member = unit.state_loc[("vreg", i)]
-            elements = unit.state_groups[gid][1]
-            out(f"        uint64_t *_v{i} = sg{gid} + "
-                f"({member} * N + _lane) * {elements};")
-        for i in range(len(program.brams)):
-            gid, member = unit.state_loc[("bram", i)]
-            elements = unit.state_groups[gid][1]
-            out(f"        uint64_t *_b{i} = sg{gid} + "
-                f"({member} * N + _lane) * {elements};")
-        out("        const uint64_t *_tk = toks + _lane * L;")
-        out("        int64_t _len = lens[_lane];")
-        out("        int32_t *_vcr = vca + _lane * (L + 1);")
-        out("        int32_t *_emr = ema + _lane * (L + 1);")
-        out("        int64_t _start = _outn;")
-        out("        for (int64_t _ti = 0; _ti <= _len; _ti++) {")
-        out("            uint64_t _tok, _sf;")
-        out("            if (_ti < _len) { _tok = _tk[_ti]; _sf = 0; }")
-        out("            else { _tok = 0; _sf = 1; }")
-        out("            int32_t _vc = 0, _emits = 0;")
-        out("            for (;;) {")
-        out("                _vc++;")
-        for line in cycle:
-            out("                " + line)
-        out("                if (_wd) break;")
-        out("                if (_vc >= max_vc) {")
-        out("                    err[0] = 1; err[1] = _lane; err[2] = _ti;")
-        out("                    return -1;")
-        out("                }")
-        out("            }")
-        out("            _vcr[_ti] = _vc;")
-        out("            _emr[_ti] = _emits;")
-        out("        }")
-        out("        out_cnt[_lane] = _outn - _start;")
-        for i in range(len(program.regs)):
-            row = unit.reg_loc[i][1]
-            out(f"        regs[{row} * N + _lane] = _r{i};")
-        out("    }")
-        out("    err[0] = 0;")
-        out("    return 0;")
-        out("}")
-        return "\n".join(lines) + "\n"
+# Layouts are flat and unpadded: tokens back to back with lane offsets;
+# registers ``(N, R)`` and vector registers + BRAMs ``(N, S)`` in the
+# scalar kernel's own layout; per-token vcycle/emit counts ``len + 1``
+# per lane (the cleanup cycle last) back to back. The kernel appends
+# outputs to one buffer and returns per-lane counts; if the buffer
+# fills, the lanes rerun from fresh state with a larger one.
 
 
 _CC_BACKENDS = ("auto", "numpy", "cc")
@@ -1816,62 +1499,14 @@ _CC_BACKENDS = ("auto", "numpy", "cc")
 def batch_backend_env():
     """Validated ``FLEET_BATCH_BACKEND`` setting.
 
-    ``auto`` (the default) uses the native tier when a C toolchain is
-    available and falls back to NumPy; ``numpy``/``cc`` force a tier.
-    Unknown values raise :class:`FleetConfigError` immediately rather
-    than silently running the wrong backend (the shared
-    :func:`repro.envcfg.env_choice` validator).
+    ``auto`` (the default) uses the native tier when the program has a
+    native kernel (certified, with a C toolchain) and falls back to
+    NumPy; ``numpy``/``cc`` force a tier. Unknown values raise
+    :class:`FleetConfigError` immediately rather than silently running
+    the wrong backend (the shared :func:`repro.envcfg.env_choice`
+    validator).
     """
     return env_choice("FLEET_BATCH_BACKEND", _CC_BACKENDS, "auto")
-
-
-class _CcKernel:
-    """Handle to one program's compiled native kernel."""
-
-    __slots__ = ("lib", "ffi", "source", "nsg")
-
-    def __init__(self, lib, ffi, source, nsg):
-        self.lib = lib
-        self.ffi = ffi
-        self.source = source
-        self.nsg = nsg
-
-
-def _try_cc_build(program, unit, required=False):
-    """Build the native kernel for ``unit``; ``None`` on any failure
-    unless ``required`` (``FLEET_BATCH_BACKEND=cc``), which raises."""
-    if not cc_available():
-        if required:
-            raise FleetSimulationError(
-                "FLEET_BATCH_BACKEND=cc but no working C toolchain: "
-                f"{_native.last_error()!r}"
-            )
-        return None
-    try:
-        started = time.perf_counter() if _tm_enabled() else None
-        source = _CCodegen(program, unit).generate()
-        nsg = len(unit.state_groups)
-        sg_params = "".join(f", uint64_t *sg{g}" for g in range(nsg))
-        cdef = (
-            "int fleet_run(uint64_t *toks, int64_t *lens, "
-            f"int64_t L, int64_t N, uint64_t *regs{sg_params}, "
-            "int64_t max_vc, uint64_t *out_vals, int64_t out_cap, "
-            "int64_t *out_cnt, int32_t *vca, int32_t *ema, "
-            "int64_t *err);"
-        )
-        tag = re.sub(r"\W+", "_", program.name)[:24] or "prog"
-        lib, ffi = _cc_load(cdef, source, tag)
-        if started is not None:
-            _NATIVE_BUILD_SECONDS.observe(time.perf_counter() - started)
-        return _CcKernel(lib, ffi, source, nsg)
-    except Exception as exc:
-        _native.set_last_error(exc)
-        if required:
-            raise FleetSimulationError(
-                f"native batch kernel build failed for "
-                f"{program.name!r}: {exc}"
-            ) from exc
-        return None
 
 
 #: A native batch of at least this many tokens runs its lanes as
@@ -1890,77 +1525,68 @@ def _lane_threads():
     return max(1, min(cpus, 8))
 
 
-class _CcBatch:
-    """The kernel buffers of one ragged native batch.
+class _NativeLanes:
+    """The flat kernel buffers of one ragged native batch.
 
     Lanes are independent in the kernel, so any run of consecutive
-    lanes executes as its own call, on its own copy of their initial
-    state, written back once the call succeeds."""
+    lanes executes as its own ``fleet_lanes`` call on its own rows of
+    the shared buffers."""
 
-    def __init__(self, unit, arrs, lens, n, max_vc):
-        self.cc = unit.cc
+    def __init__(self, cc, init, arrs, lens, max_vc):
+        self.lib, self.ffi = cc.lib, cc.ffi
         self.max_vc = max_vc
-        self.width = width = max(int(lens.max()) if n else 0, 1)
-        self.toks = _np.zeros((n, width), dtype=_np.uint64)
-        for i, a in enumerate(arrs):
-            self.toks[i, : a.shape[0]] = a
-        self.lens = _np.ascontiguousarray(lens, dtype=_np.int64)
-        self.vca = _np.zeros((n, width + 1), dtype=_np.int32)
-        self.ema = _np.zeros((n, width + 1), dtype=_np.int32)
-        self.out_cnt = _np.zeros(n, dtype=_np.int64)
-        self.regs, self.sgroups = unit.init_state(n)
-        self.cc_sgs = [
-            _np.ascontiguousarray(sg.transpose(0, 2, 1))
-            for sg in self.sgroups
-        ]
+        n = lens.shape[0]
+        self.lens = lens
+        self.offs = offs = _np.zeros(n + 1, dtype=_np.int64)
+        lens.cumsum(out=offs[1:])
+        total = int(offs[n])
+        self.toks = _np.empty(total, dtype=_np.uint64)
+        if total:
+            _np.concatenate(arrs, out=self.toks)
+        self.init_regs, self.init_state = init
+        self.regs = _np.empty((n, self.init_regs.shape[0]), _np.uint64)
+        self.state = _np.empty((n, self.init_state.shape[0]), _np.uint64)
+        self.regs[:] = self.init_regs
+        self.state[:] = self.init_state
+        self.vcs = _np.empty(total + n, dtype=_np.int32)
+        self.ems = _np.empty(total + n, dtype=_np.int32)
+        self.out_cnt = _np.empty(n, dtype=_np.int64)
+        buf = self.ffi.from_buffer
+        self._p = (
+            buf("uint64_t[]", self.toks), buf("int64_t[]", offs),
+            buf("uint64_t[]", self.regs), buf("uint64_t[]", self.state),
+            buf("int64_t[]", self.out_cnt), buf("int32_t[]", self.vcs),
+            buf("int32_t[]", self.ems),
+        )
 
     def run(self, a, b):
         """Execute lanes ``[a, b)``; returns their outputs in lane
         order."""
-        ffi, lib = self.cc.ffi, self.cc.lib
-        lens = self.lens[a:b]
-        vca, ema, out_cnt = self.vca[a:b], self.ema[a:b], self.out_cnt[a:b]
-        err = _np.zeros(4, dtype=_np.int64)
-        cap = max(4 * int(lens.sum()) + 16 * (b - a) + 1024, 4096)
+        ffi = self.ffi
+        toks, offs, regs, state, out_cnt, vcs, ems = self._p
+        nr, ns = self.regs.shape[1], self.state.shape[1]
+        err = ffi.new("int64_t[4]")
+        cap = max(4 * int(self.offs[b] - self.offs[a]) + 16 * (b - a)
+                  + 1024, 4096)
         while True:
-            regs = [r[:, a:b].copy() for r in self.regs]
-            sgs = [sg[:, a:b].copy() for sg in self.cc_sgs]
-            out_vals = _np.empty(cap, dtype=_np.uint64)
-            regp = (ffi.from_buffer("uint64_t[]", regs[0])
-                    if regs else ffi.NULL)
-            args = (
-                [ffi.from_buffer("uint64_t[]", self.toks[a:b]),
-                 ffi.from_buffer("int64_t[]", lens),
-                 self.width, b - a, regp]
-                + [ffi.from_buffer("uint64_t[]", sg) for sg in sgs]
-                + [self.max_vc,
-                   ffi.from_buffer("uint64_t[]", out_vals), cap,
-                   ffi.from_buffer("int64_t[]", out_cnt),
-                   ffi.from_buffer("int32_t[]", vca),
-                   ffi.from_buffer("int32_t[]", ema),
-                   ffi.from_buffer("int64_t[]", err)]
+            out = _np.empty(cap, dtype=_np.uint64)
+            rc = self.lib.fleet_lanes(
+                toks, offs + a, b - a, regs + a * nr, nr,
+                state + a * ns, ns, self.max_vc,
+                ffi.from_buffer("uint64_t[]", out), cap, out_cnt + a,
+                vcs + a, ems + a, err,
             )
-            rc = lib.fleet_run(*args)
             if rc == 0:
                 break
-            if int(err[0]) == 2:
-                # Output buffer filled. The kernel is pure over its
-                # inputs, so rerun from fresh state with a larger one.
-                cap *= 4
-                vca[:] = 0
-                ema[:] = 0
-                out_cnt[:] = 0
-                continue
-            raise FleetLoopLimitError(
-                "while loop did not terminate within "
-                + str(self.max_vc) + " virtual cycles"
-            )
-        for r, final in zip(self.regs, regs):
-            r[:, a:b] = final
-        for sg, final in zip(self.cc_sgs, sgs):
-            sg[:, a:b] = final
-        counts = out_cnt.tolist()
-        flat = out_vals[: sum(counts)].tolist()
+            if err[0] != 2:
+                raise self._fault(err[0], a + err[1])
+            # Output buffer filled. The kernel is pure over its inputs,
+            # so rerun from fresh state with a larger one.
+            cap *= 4
+            self.regs[a:b] = self.init_regs
+            self.state[a:b] = self.init_state
+        counts = self.out_cnt[a:b].tolist()
+        flat = out[: sum(counts)].tolist()
         outputs = []
         pos = 0
         for c in counts:
@@ -1968,14 +1594,30 @@ class _CcBatch:
             pos += c
         return outputs
 
+    def _fault(self, code, lane):
+        """The error of a lane that faulted, tagged with ``lane``. Tokens
+        are range-checked before any lane runs, so the kernel's own
+        width check (code 3) is only a backstop."""
+        if code == 1:
+            exc = FleetLoopLimitError(
+                "while loop did not terminate within "
+                + str(self.max_vc) + " virtual cycles"
+            )
+        else:
+            exc = FleetSimulationError(
+                f"native lane kernel failed with code {code}"
+            )
+        exc.lane = lane
+        return exc
+
     def run_shared(self, threads):
         """Execute every lane as its own call, longest first, on the
         calling thread and ``threads - 1`` helpers (the calls release
         the GIL); returns the outputs in lane order. A lane that fails
         leaves the others running; the lowest failing lane's error is
         raised once all have finished."""
-        n = self.lens.shape[0]
         lengths = self.lens.tolist()
+        n = len(lengths)
         pending = iter(sorted(range(n), key=lambda i: (-lengths[i], i)))
         lock = threading.Lock()
         outputs = [None] * n
@@ -2004,29 +1646,27 @@ class _CcBatch:
         return outputs
 
 
-def _run_batch_cc(program, unit, arrs, lens, n, max_vc):
-    """Execute one ragged batch on the native kernel; mirrors the NumPy
-    driver's result assembly exactly.
+def _run_batch_cc(program, unit, arrs, lens, max_vc):
+    """Execute one ragged batch on the native lane kernel; mirrors the
+    NumPy driver's result assembly exactly.
 
     A batch of :data:`_SPLIT_TOKENS` or more runs its lanes on one
-    thread per core (:meth:`_CcBatch.run_shared`): its wall time then
+    thread per core (:meth:`_NativeLanes.run_shared`): its wall time then
     follows the speed of every core, not only of the one its caller
     happens to run on, and two device workers' batches spread over all
     cores instead of the longest one setting the pace alone."""
-    batch = _CcBatch(unit, arrs, lens, n, max_vc)
+    lanes = _NativeLanes(unit.cc, unit.lane_init, arrs, lens, max_vc)
+    n = lens.shape[0]
     threads = 1
-    if int(batch.lens.sum()) >= _SPLIT_TOKENS:
+    if int(lanes.offs[n]) >= _SPLIT_TOKENS:
         threads = min(n, _lane_threads())
-    outputs = batch.run_shared(threads) if threads > 1 else batch.run(0, n)
-    for sg, csg in zip(batch.sgroups, batch.cc_sgs):
-        sg[:] = csg.transpose(0, 2, 1)
-
-    # The kernel leaves each lane's row zero past its cleanup cycle.
-    lane_vcycles = batch.vca.sum(axis=1, dtype=_np.int64).tolist()
+    outputs = lanes.run_shared(threads) if threads > 1 else lanes.run(0, n)
+    starts = lanes.offs[:n] + _np.arange(n)
+    lane_vcycles = _np.add.reduceat(lanes.vcs, starts,
+                                    dtype=_np.int64).tolist()
     return BatchResult(program, outputs, BatchStats(lane_vcycles),
-                       max(lane_vcycles, default=0), unit, batch.regs,
-                       batch.sgroups, batch.lens.tolist(), batch.vca,
-                       batch.ema)
+                       max(lane_vcycles), (lanes.regs, lanes.state),
+                       lens.tolist(), lanes.vcs, lanes.ems)
 
 
 # ---------------------------------------------------------------------------
@@ -2040,11 +1680,15 @@ class BatchUnit:
     ``run_batch(toks, lens, regs, sgroups, max_vc, res)`` executes every
     lane's whole stream (plus cleanup) against the struct-of-arrays
     state; the lowering is independent of N, so one unit serves any
-    batch size.
+    batch size. ``cc`` is the program's memoized
+    :class:`~repro.interp.cc.CcUnit` when the native tier runs its
+    batches (``None`` on the NumPy tier); ``lane_init`` is one lane's
+    initial registers and state in that kernel's flat layout.
     """
 
     __slots__ = ("program", "run_batch", "source", "reg_groups",
-                 "reg_loc", "state_groups", "state_loc", "cc")
+                 "reg_loc", "state_groups", "state_loc", "cc",
+                 "lane_init")
 
     def __init__(self, program, run_batch, source, codegen):
         self.program = program
@@ -2060,6 +1704,15 @@ class BatchUnit:
             for bits, elements, members in codegen.state_groups
         ]
         self.state_loc = dict(codegen.state_loc)
+        flat = []
+        for vreg in program.vregs:
+            flat.extend([vreg.init] * vreg.elements)
+        for bram in program.brams:
+            flat.extend([0] * bram.elements)
+        self.lane_init = (
+            _np.array([r.init for r in program.regs], dtype=_np.uint64),
+            _np.array(flat, dtype=_np.uint64),
+        )
 
     def init_state(self, n):
         """Fresh per-lane state arrays for an N-lane batch."""
@@ -2082,17 +1735,35 @@ class BatchUnit:
             sgroups.append(arr)
         return regs, sgroups
 
+    def lane_state(self, regs, sgroups, n):
+        """The NumPy tier's final ``regs``/``sgroups`` in the native
+        layout: ``(N, R)`` registers and ``(N, S)`` vector registers
+        then BRAMs."""
+        lane_regs = (regs[0].T if regs
+                     else _np.zeros((n, 0), _np.uint64))
+        blocks = []
+        for kind, decls in (("vreg", self.program.vregs),
+                            ("bram", self.program.brams)):
+            for i in range(len(decls)):
+                gid, member = self.state_loc[(kind, i)]
+                blocks.append(sgroups[gid][member].T)
+        state = (_np.concatenate(blocks, axis=1) if blocks
+                 else _np.zeros((n, 0), _np.uint64))
+        return lane_regs, state
+
 
 def compile_batch(program, backend=None):
     """Lower ``program`` to a :class:`BatchUnit`.
 
     ``backend`` (default: the validated ``FLEET_BATCH_BACKEND``
-    environment setting) selects the execution tier: ``"auto"`` attaches
-    a native cffi kernel when a C toolchain is available and otherwise
-    runs pure NumPy, ``"numpy"`` / ``"cc"`` force a tier (``"cc"``
-    raises when the toolchain is missing). Both tiers are bit-identical;
-    the NumPy lowering is always built — it doubles as documentation of
-    the SIMD semantics and as the portable fallback.
+    environment setting) selects the execution tier: ``"auto"`` runs
+    the lanes on the program's native cc kernel
+    (:func:`~repro.interp.cc.cc_engine_for`: certified programs with a
+    C toolchain) and otherwise on pure NumPy, ``"numpy"`` / ``"cc"``
+    force a tier (``"cc"`` raises when the program is uncertified or
+    the toolchain is missing). Both tiers are bit-identical; the NumPy
+    lowering is always built — it doubles as documentation of the SIMD
+    semantics and as the portable fallback.
 
     Raises :class:`FleetSimulationError` when NumPy is missing or the
     program can't take the batch path; use :func:`try_compile_batch` for
@@ -2127,8 +1798,12 @@ def compile_batch(program, backend=None):
             f"backend={want!r} is not a recognized batch backend: "
             f"choose one of {', '.join(_CC_BACKENDS)}"
         )
-    if want != "numpy":
-        unit.cc = _try_cc_build(program, unit, required=(want == "cc"))
+    if want == "auto":
+        unit.cc = cc_engine_for(program)
+    elif want == "cc":
+        # compile_cc raises the reason cc_engine_for declined: a
+        # rejected certificate, an unsupported shape, no toolchain.
+        unit.cc = cc_engine_for(program) or compile_cc(program)
     return unit
 
 
@@ -2343,28 +2018,29 @@ class BatchResult:
     Per-lane virtual-cycle totals are in :attr:`stats`
     (``stats.lane_vcycles``); the per-token
     :class:`~repro.interp.trace.StreamTrace` rows are built only when
-    :attr:`traces` is first read.
+    :attr:`traces` is first read, and final state is read only when
+    peeked.
     """
 
-    __slots__ = ("program", "outputs", "stats", "cycles", "_unit",
-                 "_regs", "_sgroups", "_lane_tokens", "_vca", "_ema",
-                 "_traces", "_predicted")
+    __slots__ = ("program", "outputs", "stats", "cycles", "_state",
+                 "_lane_tokens", "_vcs", "_ems", "_traces", "_predicted")
 
-    def __init__(self, program, outputs, stats, cycles, unit, regs,
-                 sgroups, lane_tokens, vca, ema):
+    def __init__(self, program, outputs, stats, cycles, state,
+                 lane_tokens, vcs, ems):
         self.program = program
         self.outputs = outputs
         self.stats = stats
         self.cycles = cycles
-        self._unit = unit
-        self._regs = regs
-        self._sgroups = sgroups
-        #: tokens per lane; ``vca``/``ema`` are lane-major matrices of
-        #: per-token vcycles/emits with at least ``tokens + 1`` columns
-        #: per lane (``vca`` is ``None`` when every count is 1)
+        #: final ``(regs, state)`` as ``(N, R)`` and ``(N, S)`` arrays in
+        #: the native kernel's layout, or a callable producing them
+        self._state = state
+        #: tokens per lane; ``vcs``/``ems`` hold each lane's per-token
+        #: vcycles/emits (cleanup cycle last) back to back, lane ``i``'s
+        #: ``tokens + 1`` entries first (``vcs`` is ``None`` when every
+        #: count is 1)
         self._lane_tokens = lane_tokens
-        self._vca = vca
-        self._ema = ema
+        self._vcs = vcs
+        self._ems = ems
         self._traces = None
         self._predicted = False  # lazily computed (None is a result)
 
@@ -2374,18 +2050,20 @@ class BatchResult:
         vcycle and emit counts, cleanup cycle last), built on first
         access."""
         if self._traces is None:
-            vc_rows = None if self._vca is None else self._vca.tolist()
-            em_rows = self._ema.tolist()
+            vcs = None if self._vcs is None else self._vcs.tolist()
+            ems = self._ems.tolist()
             traces = []
-            for i, length in enumerate(self._lane_tokens):
+            at = 0
+            for length in self._lane_tokens:
+                end = at + length + 1
                 trace = StreamTrace()
                 trace.vcycles_per_token = (
-                    [1] * (length + 1) if vc_rows is None
-                    else vc_rows[i][: length + 1]
+                    [1] * (length + 1) if vcs is None else vcs[at:end]
                 )
-                trace.emits_per_token = em_rows[i][: length + 1]
+                trace.emits_per_token = ems[at:end]
                 trace._cleanup_recorded = True
                 traces.append(trace)
+                at = end
             self._traces = traces
         return self._traces
 
@@ -2410,32 +2088,34 @@ class BatchResult:
             return None
         return predicted.compare(self.stats)
 
+    def _final(self):
+        if callable(self._state):
+            self._state = self._state()
+        return self._state
+
     def peek_reg(self, lane, name):
         """Final architectural value of register ``name`` in ``lane``."""
         for ri, reg in enumerate(self.program.regs):
             if reg.name == name:
-                bits, row = self._unit.reg_loc[ri]
-                gi = sorted(self._unit.reg_groups).index(bits)
-                return int(self._regs[gi][row, lane])
+                return int(self._final()[0][lane, ri])
         raise FleetSimulationError(f"no register named {name!r}")
 
     def peek_bram(self, lane, name):
         """Final contents of BRAM ``name`` in ``lane``, as a list."""
-        for di, bram in enumerate(self.program.brams):
+        off = sum(v.elements for v in self.program.vregs)
+        for bram in self.program.brams:
             if bram.name == name:
-                gid, member = self._unit.state_loc[("bram", di)]
-                return [
-                    int(x) for x in self._sgroups[gid][member, :, lane]
-                ]
+                state = self._final()[1]
+                return state[lane, off:off + bram.elements].tolist()
+            off += bram.elements
         raise FleetSimulationError(f"no BRAM named {name!r}")
 
     def reg_state(self, lane):
         """``{name: value}`` of every register in ``lane`` (the
         differential harness's final-state comparison)."""
-        return {
-            reg.name: self.peek_reg(lane, reg.name)
-            for reg in self.program.regs
-        }
+        values = self._final()[0][lane].tolist()
+        return {reg.name: value
+                for reg, value in zip(self.program.regs, values)}
 
 
 def _validate_stream(program, stream):
@@ -2499,7 +2179,7 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
     # FLEET_NATIVE=off must win over a kernel cached on the unit:
     # flipping it mid-process (tests do) drops back to the NumPy tier.
     if unit.cc is not None and _native.native_enabled():
-        return _run_batch_cc(program, unit, arrs, lens, n,
+        return _run_batch_cc(program, unit, arrs, lens,
                              max_vcycles_per_token)
     max_len = int(lens.max()) if n else 0
     toks = _np.zeros((max_len, n), dtype=_np.uint64)
@@ -2534,17 +2214,21 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
 
     # The driver's (L + 1, N) matrices stay zero past each lane's
     # cleanup cycle; with no while loops and equal lengths it never
-    # fills vca at all, every count being 1.
+    # fills vca at all, every count being 1. Each lane's first
+    # tokens + 1 columns, back to back, are the native tier's layout.
     lane_tokens = lens.tolist()
+    keep = _np.arange(max_len + 1) <= lens[:, None]
     if res["vc_all_ones"]:
-        vca = None
+        vcs = None
         lane_vcycles = [length + 1 for length in lane_tokens]
     else:
         vca = res["vca"].T
         lane_vcycles = vca.sum(axis=1, dtype=_np.int64).tolist()
+        vcs = vca[keep]
     return BatchResult(program, outputs, BatchStats(lane_vcycles),
-                       res["cycles"], unit, regs, sgroups, lane_tokens,
-                       vca, res["ema"].T)
+                       res["cycles"],
+                       lambda: unit.lane_state(regs, sgroups, n),
+                       lane_tokens, vcs, res["ema"].T[keep])
 
 
 class BatchStreamSimulator:

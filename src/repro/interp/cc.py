@@ -26,7 +26,10 @@ register and BRAM concatenated), packed from — and on success unpacked
 back into — the simulator's Python-list state, so
 :class:`CcSimulator` stays a drop-in
 :class:`~repro.interp.compile.CompiledSimulator` replacement (same
-outputs, trace, peeks, and error surface).
+outputs, trace, peeks, and error surface). A third entry point,
+``fleet_lanes``, runs one stream per lane through the other two over
+flat lane buffers; it is the native tier of the batch engine
+(:mod:`repro.interp.batch`), so both share one kernel build.
 
 Error protocol (``err[0]``): ``1`` loop limit at token ``err[1]``; ``2``
 output capacity exhausted (the driver grows the buffer and reruns from
@@ -34,6 +37,8 @@ the unchanged Python-side state — invisible to callers); ``3`` a token
 wider than the declared input width at index ``err[1]``. ``err[2]``
 always carries the output count produced before the fault, so partial
 outputs and per-token trace entries match the compiled engine exactly.
+``fleet_lanes`` passes its callee's code through with ``err[1]`` set
+to the failing lane.
 
 Everything degrades gracefully: no toolchain, ``FLEET_NATIVE=off``, an
 uncertified or unsupported program — each makes :func:`cc_engine_for`
@@ -597,7 +602,51 @@ class _UnitCCodegen(_Codegen):
         out("    err[0] = 0; err[2] = _outn;")
         out("    return 0;")
         out("}")
+        out("")
+        lines.extend(_LANES_SOURCE)
         return "\n".join(lines) + "\n"
+
+
+#: The batch engine's lane driver (program-independent): one stream per
+#: lane, run through ``fleet_tokens`` then ``fleet_finish`` on that
+#: lane's slice of one flat token buffer (``offs`` has ``N + 1``
+#: entries), its row of ``(N, R)`` registers and ``(N, S)`` state, and
+#: its ``len + 1`` per-token counts at ``offs[lane] + lane``. Outputs
+#: append lane after lane; a fault stops the batch with ``err[1]`` set
+#: to the failing lane.
+_LANES_SOURCE = (
+    "int fleet_lanes(const uint64_t *toks, const int64_t *offs, int64_t N,",
+    "                uint64_t *regs, int64_t R, uint64_t *state, int64_t S,",
+    "                int64_t max_vc,",
+    "                uint64_t *out_vals, int64_t out_cap, int64_t *out_cnt,",
+    "                int32_t *vcs, int32_t *ems, int64_t *err)",
+    "{",
+    "    int64_t _outn = 0;",
+    "    for (int64_t _lane = 0; _lane < N; _lane++) {",
+    "        int64_t _at = offs[_lane], _n = offs[_lane + 1] - _at;",
+    "        uint64_t *_regs = regs + _lane * R, *_state = state + _lane * S;",
+    "        int32_t *_vcs = vcs + _at + _lane, *_ems = ems + _at + _lane;",
+    "        int64_t _start = _outn;",
+    "        if (fleet_tokens(toks + _at, _n, _regs, _state, max_vc,",
+    "                         out_vals + _outn, out_cap - _outn,",
+    "                         _vcs, _ems, err)) {",
+    "            err[1] = _lane;",
+    "            return -1;",
+    "        }",
+    "        _outn += err[2];",
+    "        if (fleet_finish(_regs, _state, max_vc,",
+    "                         out_vals + _outn, out_cap - _outn,",
+    "                         _vcs + _n, _ems + _n, err)) {",
+    "            err[1] = _lane;",
+    "            return -1;",
+    "        }",
+    "        _outn += err[2];",
+    "        out_cnt[_lane] = _outn - _start;",
+    "    }",
+    "    err[0] = 0;",
+    "    return 0;",
+    "}",
+)
 
 
 _CDEF = (
@@ -606,14 +655,18 @@ _CDEF = (
     "int64_t out_cap, int32_t *vcs, int32_t *ems, int64_t *err);\n"
     "int fleet_finish(uint64_t *regs, uint64_t *state, int64_t max_vc, "
     "uint64_t *out_vals, int64_t out_cap, int32_t *vcs, int32_t *ems, "
-    "int64_t *err);"
+    "int64_t *err);\n"
+    "int fleet_lanes(const uint64_t *toks, const int64_t *offs, int64_t N, "
+    "uint64_t *regs, int64_t R, uint64_t *state, int64_t S, "
+    "int64_t max_vc, uint64_t *out_vals, int64_t out_cap, "
+    "int64_t *out_cnt, int32_t *vcs, int32_t *ems, int64_t *err);"
 )
 
 
 class CcUnit:
     """A Fleet program lowered to a native (C) kernel.
 
-    ``lib``/``ffi`` expose the two kernel entry points; ``source`` is
+    ``lib``/``ffi`` expose the kernel entry points; ``source`` is
     the generated C (debugging and golden-snapshot hook); ``elisions``
     counts what certified specialization deleted during the lowering
     (the same taxonomy as the specialized Python engine).

@@ -135,7 +135,8 @@ DEFAULT_ENGINES = ("interp", "compiled")
 
 
 def check_program(spec, streams, *, rtl=True, verilog=True,
-                  source_transform=None, engines=DEFAULT_ENGINES):
+                  source_transform=None, engines=DEFAULT_ENGINES,
+                  batch_tiers=None):
     """Run every stream through every enabled model.
 
     ``engines`` selects the software-engine axis: the interpreter oracle
@@ -143,15 +144,16 @@ def check_program(spec, streams, *, rtl=True, verilog=True,
     comparison and ``"batch"`` additionally executes all of the
     program's streams as *one ragged batch* on the SIMD engine (plus an
     empty-stream lane and a batch-of-1 run), comparing outputs,
-    per-token virtual-cycle traces, and final register state against the
-    compiled engine. ``"compiled-certified"`` builds a *fresh*
+    per-token virtual-cycle traces, and final register and BRAM state
+    against the compiled engine. ``"compiled-certified"`` builds a *fresh*
     certified-specialized lowering (certificate facts consumed at
     codegen time) and ``"cc"`` a fresh native C kernel, each compared
     stream-for-stream — outputs, virtual-cycle and emit traces, final
     register and BRAM state — against the guarded compiled engine.
     Programs outside an axis's gate (uncertified, batch/cc-unsupported,
     no C toolchain) skip that stage, so every axis is safe on any
-    corpus.
+    corpus. ``batch_tiers``, when given, is a dict counting which batch
+    tier each checked program ran on (see :func:`check_batch`).
 
     Returns the per-stream interpreter outputs on full agreement; raises
     :class:`Mismatch` on any disagreement or model crash. Raises the
@@ -229,7 +231,9 @@ def check_program(spec, streams, *, rtl=True, verilog=True,
                 )
 
     if "batch" in engines:
-        check_batch(program, streams)
+        tier = check_batch(program, streams)
+        if tier is not None and batch_tiers is not None:
+            batch_tiers[tier] = batch_tiers.get(tier, 0) + 1
     if "compiled-certified" in engines:
         check_specialized(program, streams)
     if "cc" in engines:
@@ -243,17 +247,21 @@ def check_batch(program, streams):
     Runs all ``streams`` plus one always-empty lane as a single ragged
     batch and — when a non-empty stream exists — a batch of exactly one
     lane, comparing outputs, per-token virtual-cycle and emit traces,
-    and final register state against per-stream
+    and final register and BRAM state against per-stream
     :class:`~repro.interp.compile.CompiledSimulator` runs (the
     batch-of-1 == compiled property from the batch engine's contract).
-    No-op when the program is outside the batch engine's support set.
+
+    Returns the tier that ran: ``"native lanes"`` (the certified cc
+    kernel's ``fleet_lanes``) or ``"numpy"``; ``None`` (no-op) when the
+    program is outside the batch engine's support set.
     """
     from ..interp.batch import batch_support, compile_batch, \
         run_batch_streams
+    from ..interp.native import native_enabled
 
     ok, _reason = batch_support(program)
     if not ok:
-        return
+        return None
     try:
         unit = compile_batch(program)
     except FleetError as exc:
@@ -267,8 +275,7 @@ def check_batch(program, streams):
     for stream in lanes:
         sim = CompiledSimulator(program, max_vcycles_per_token=MAX_VCYCLES)
         outs = list(sim.run(stream))
-        state = {r.name: sim.peek_reg(r.name) for r in program.regs}
-        refs.append((outs, sim.trace, state))
+        refs.append((outs, sim.trace, _full_state(sim, program)))
 
     batches = [("batch", lanes)]
     if any(lanes[:-1]):
@@ -307,12 +314,17 @@ def check_batch(program, streams):
                     f"compiled={trace.emits_per_token} "
                     f"batch={got_trace.emits_per_token}",
                 )
-            if result.reg_state(lane) != state:
+            got_state = result.reg_state(lane)
+            for bram in program.brams:
+                got_state[bram.name] = result.peek_bram(lane, bram.name)
+            if got_state != state:
                 raise Mismatch(
                     stage,
-                    f"lane {lane}: final register state differs: "
-                    f"compiled={state} batch={result.reg_state(lane)}",
+                    f"lane {lane}: final state differs: "
+                    f"compiled={state} batch={got_state}",
                 )
+    native = unit.cc is not None and native_enabled()
+    return "native lanes" if native else "numpy"
 
 
 def _full_state(sim, program):

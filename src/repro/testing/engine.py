@@ -49,6 +49,8 @@ class FuzzReport:
         self.failures = []
         self.generator_errors = []
         self.feature_counts = {}
+        #: batch tier -> programs checked on it (``--engines ...batch``)
+        self.batch_tiers = {}
         self.elapsed = 0.0
 
     @property
@@ -66,6 +68,11 @@ class FuzzReport:
                 for tag, count in sorted(self.feature_counts.items())
             ),
         ]
+        if self.batch_tiers:
+            lines.append("batch tiers: " + ", ".join(
+                f"{tier}={count}"
+                for tier, count in sorted(self.batch_tiers.items())
+            ))
         for index, message in self.generator_errors:
             lines.append(f"GENERATOR BUG at program {index}: {message}")
         for failure in self.failures:
@@ -123,6 +130,7 @@ class ConformanceEngine:
                 spec, streams, rtl=self.rtl, verilog=self.verilog,
                 source_transform=self.source_transform,
                 engines=self.engines,
+                batch_tiers=None if report is None else report.batch_tiers,
             )
             return None
         except differential.Mismatch as exc:

@@ -362,13 +362,13 @@ def _share_lanes(monkeypatch, threads, split_tokens=0):
     monkeypatch.setattr(batch, "_SPLIT_TOKENS", split_tokens)
     monkeypatch.setattr(batch, "_lane_threads", lambda: threads)
     calls = []
-    run_shared = batch._CcBatch.run_shared
+    run_shared = batch._NativeLanes.run_shared
 
     def counted(self, threads):
         calls.append(threads)
         return run_shared(self, threads)
 
-    monkeypatch.setattr(batch._CcBatch, "run_shared", counted)
+    monkeypatch.setattr(batch._NativeLanes, "run_shared", counted)
     return calls
 
 
@@ -485,3 +485,138 @@ def test_shared_lanes_under_thread_contention(monkeypatch):
         assert result.reg_state(lane) == regs, lane
         for name, contents in brams.items():
             assert result.peek_bram(lane, name) == contents, (lane, name)
+
+
+def _spin_on_seven():
+    """Spins forever on token 7 and passes every other token through."""
+    b = UnitBuilder("spin_on_7", input_width=8, output_width=8)
+    r = b.reg("r", width=8, init=0)
+    with b.while_(b.all_of(b.input == 7, r < 200)):
+        r.set(r & 0)
+    b.emit(b.input)
+    return b.finish()
+
+
+@requires_numpy
+@requires_cc
+@pytest.mark.parametrize("threads", [1, 3])
+def test_fault_in_a_middle_lane_reports_that_lane(threads, monkeypatch):
+    calls = _share_lanes(monkeypatch, threads=threads)
+    program = _spin_on_seven()
+    unit = compile_batch(program, backend="cc")
+    lanes = [[1, 2], [3], [4, 7, 5], [6], [7]]
+    with pytest.raises(FleetSimulationError) as batch_err:
+        run_batch_streams(program, lanes, unit=unit,
+                          max_vcycles_per_token=50)
+    with pytest.raises(FleetSimulationError) as compiled_err:
+        CompiledSimulator(program, max_vcycles_per_token=50).run([7])
+    # The lowest failing lane, on one call or shared across threads.
+    assert batch_err.value.lane == 2
+    assert str(batch_err.value) == str(compiled_err.value)
+    assert calls == ([3] if threads > 1 else [])
+    ok = run_batch_streams(program, [lane for lane in lanes if 7 not in lane],
+                           unit=unit, max_vcycles_per_token=50)
+    assert ok.outputs == [[1, 2, 0], [3, 0], [6, 0]]
+
+
+def _cc_reference(program, stream):
+    from repro.interp import CcSimulator
+
+    sim = CcSimulator(program)
+    outputs = sim.run(stream)
+    regs = {r.name: sim.peek_reg(r.name) for r in program.regs}
+    brams = {b.name: sim.peek_bram(b.name) for b in program.brams}
+    return outputs, sim.trace.vcycles_per_token, regs, brams
+
+
+@requires_numpy
+@requires_cc
+@pytest.mark.parametrize("key", sorted(APPS))
+def test_native_lanes_final_state_matches_cc_simulator(key):
+    make, sample = APPS[key]
+    program = make()
+    unit = compile_batch(program, backend="cc")
+    streams = _ragged_streams(sample, seed=len(key) + 40)
+    result = run_batch_streams(program, streams, unit=unit)
+    for lane, stream in enumerate(streams):
+        outputs, vcycles, regs, brams = _cc_reference(program, stream)
+        assert result.outputs[lane] == outputs, lane
+        assert result.traces[lane].vcycles_per_token == vcycles, lane
+        assert result.reg_state(lane) == regs, lane
+        for name, contents in brams.items():
+            assert result.peek_bram(lane, name) == contents, (lane, name)
+
+
+@requires_numpy
+@requires_cc
+@pytest.mark.parametrize(
+    "name", ["bloom_filter", "integer_coding", "json_parsing", "regex",
+             "smith_waterman"],
+)
+def test_native_lanes_share_the_cc_engine_build(name, monkeypatch):
+    from repro.interp import cc_engine_for
+    from repro.serve import catalog_apps
+
+    monkeypatch.delenv("FLEET_BATCH_BACKEND", raising=False)
+    monkeypatch.delenv("FLEET_ENGINE", raising=False)
+    app = catalog_apps()[name]
+    program = app.unit_factory()
+    unit = batch_engine_for(program)
+    assert unit.cc is cc_engine_for(program) is program._fleet_cc
+    assert "int fleet_lanes(" in unit.cc.source
+    lanes = _serve_lanes(app, seed=len(name) + 3)
+    result = run_batch_streams(program, lanes, unit=unit)
+    for lane, stream in enumerate(lanes):
+        outputs, vcycles, regs, brams = _cc_reference(program, list(stream))
+        assert result.outputs[lane] == outputs, lane
+        assert result.stats.lane_vcycles[lane] == sum(vcycles), lane
+        assert result.reg_state(lane) == regs, lane
+        for bram, contents in brams.items():
+            assert result.peek_bram(lane, bram) == contents, (lane, bram)
+
+
+def _uncertified_unit():
+    """Two BRAM writes the linter cannot prove exclusive (both fire on
+    tokens with bits 0 and 1 set), so the program never certifies; the
+    streams below avoid such tokens, so it runs cleanly."""
+    b = UnitBuilder("maybe_conflict", input_width=8, output_width=8)
+    m = b.bram("m", elements=8, width=8)
+    acc = b.reg("acc", width=8, init=3)
+    with b.when(b.input.bit(0)):
+        m[0] = b.input
+    with b.when(b.input.bit(1)):
+        m[1] = acc
+    acc.set(acc + b.input)
+    b.emit(m[b.input & 7])
+    return b.finish()
+
+
+def _uncertified_streams():
+    rng = random.Random(21)
+    safe = [t for t in range(256) if t & 3 != 3]
+    return [[rng.choice(safe) for _ in range(n)] for n in (9, 0, 30, 4)]
+
+
+@requires_numpy
+def test_forced_batch_on_uncertified_program_runs_numpy(monkeypatch):
+    from repro.lint import certificate_for
+
+    monkeypatch.setenv("FLEET_ENGINE", "batch")
+    program = _uncertified_unit()
+    assert not certificate_for(program).ok
+    unit = batch_engine_for(program)
+    assert unit is not None and unit.cc is None
+    _check_batch(program, _uncertified_streams(), unit=unit)
+    sim = make_simulator(program, engine="auto")
+    assert isinstance(sim, BatchStreamSimulator)
+    stream = _uncertified_streams()[2]
+    assert sim.run(stream) == CompiledSimulator(program).run(stream)
+
+
+@requires_numpy
+def test_forced_cc_backend_refuses_uncertified_program():
+    program = _uncertified_unit()
+    with pytest.raises(FleetSimulationError, match="certificate"):
+        compile_batch(program, backend="cc")
+    # The NumPy tier still takes it.
+    assert compile_batch(program, backend="numpy").cc is None

@@ -145,3 +145,66 @@ def test_batched_serve_builds_no_stream_traces(monkeypatch):
     assert len(results) == 40
     assert all(b.get("batch_engine") for b in report["batches"])
     assert built == []
+
+
+def _count_fingerprints(monkeypatch):
+    import repro.lint.certificate as certificate
+
+    calls = []
+    original = certificate.program_fingerprint
+
+    def counting(program):
+        calls.append(program.name)
+        return original(program)
+
+    monkeypatch.setattr(certificate, "program_fingerprint", counting)
+    return calls
+
+
+def test_memory_sim_reuses_the_cached_program(monkeypatch):
+    # Memory attribution runs each batch on the cache entry's sealed
+    # program, whose fingerprint is memoized: one call for six batches.
+    calls = _count_fingerprints(monkeypatch)
+    config = ServeConfig(devices=1, pu_slots=2, window_streams=2,
+                         memory_sim=True)
+    with FleetServer(config=config) as server:
+        futures = [server.submit("identity", _streams((24, 8)))
+                   for _ in range(6)]
+        server.drain()
+        outputs = [f.result(timeout=60).outputs for f in futures]
+        report = validate_serve_report(server.report())
+    assert [[bytes(o) for o in out] for out in outputs] == \
+        [_streams((24, 8))] * 6
+    assert report["totals"]["batches"] == 6
+    assert all(b["attribution"] for b in report["batches"])
+    assert calls == ["identity"]
+
+
+@requires_numpy
+def test_warm_serve_builds_one_native_module_per_app(monkeypatch):
+    # The per-stream cc engine and the batch tier's lanes share one
+    # kernel build per program.
+    import sys
+
+    from repro.interp import cc_available, native
+
+    if not cc_available():
+        pytest.skip("no C toolchain")
+    loads = []
+    original = native._cc_load
+
+    def counting(cdef, source, tag):
+        loads.append(tag)
+        return original(cdef, source, tag)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and \
+                getattr(module, "_cc_load", None) is original:
+            monkeypatch.setattr(module, "_cc_load", counting)
+    with _mix_server() as server:
+        results = _serve_mix(server, _mix_jobs(40, seed=9))
+        report = validate_serve_report(server.report())
+    assert len(results) == 40
+    assert sorted(report["cache"]["native"]) == sorted(MIX)
+    assert sorted(report["cache"]["batched"]) == sorted(MIX)
+    assert len(loads) == len(set(loads)) == len(MIX)

@@ -92,10 +92,24 @@ def test_batch_engine_axis_agrees():
     }
     # Ragged streams incl. an empty one; check_batch also appends an
     # extra empty lane and a batch-of-1 re-run internally.
+    tiers = {}
     differential.check_program(
         spec, [[1, 2, 3], [], [9]], rtl=False, verilog=False,
-        engines=("interp", "compiled", "batch"),
+        engines=("interp", "compiled", "batch"), batch_tiers=tiers,
     )
+    assert len(tiers) == 1 and sum(tiers.values()) == 1
+    assert set(tiers) <= {"native lanes", "numpy"}
+
+
+def test_batch_axis_reports_the_numpy_tier_without_native(monkeypatch):
+    pytest.importorskip("numpy")
+    monkeypatch.setenv("FLEET_NATIVE", "off")
+    tiers = {}
+    differential.check_program(
+        SUB_SPEC, [[3], []], rtl=False, verilog=False,
+        engines=("interp", "compiled", "batch"), batch_tiers=tiers,
+    )
+    assert tiers == {"numpy": 1}
 
 
 def test_batch_engine_axis_detects_injected_bug():
@@ -124,6 +138,9 @@ def test_small_fuzz_budget_with_batch_axis():
         engines=("interp", "compiled", "batch"),
     ).run()
     assert report.ok, report.summary()
+    # Every program the batch stage checked is counted under its tier.
+    assert 0 < sum(report.batch_tiers.values()) <= report.programs
+    assert "batch tiers: " in report.summary()
 
 
 # ---------------------------------------------------------------------------
